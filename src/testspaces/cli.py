@@ -37,12 +37,14 @@ from .logic import (
 from .metric import (
     DEFAULT_ORTHO_TOL,
     MetricSample,
-    VietorisBasicOpen,
     check_sample_invariants,
+    dump_basis,
+    load_basis,
     load_sample,
-    parse_coords,
+    parse_sample,
     sample_frames,
     save_sample,
+    sidecar_path,
 )
 from .semiclassical import (
     auto_basis,
@@ -197,21 +199,9 @@ def _cmd_oa(args) -> int:
     return 1 if args.strict and not ok else 0
 
 
-def _sidecar(path: str) -> str:
-    base = path[:-4] if path.endswith(".tsp") else path
-    return base + ".coords"
-
-
 def _cmd_metric_check(args) -> int:
-    ts = _load_space(args.file)
-    coords_path = args.coords or _sidecar(args.file)
-    coords = parse_coords(_read(coords_path))
-    missing = [x for x in ts.outcomes if x not in coords]
-    if missing:
-        raise TspError(f"coordinates missing for outcomes {missing[:5]}")
-    import numpy as np
-
-    pts = np.array([coords[x] for x in ts.outcomes], dtype=float)
+    coords_path = args.coords or sidecar_path(args.file)
+    ts, pts = parse_sample(_read(args.file), _read(coords_path))
     rows = check_sample_invariants(ts.outcomes, pts, ts.tests, args.ortho_tol)
     out = []
     failed = False
@@ -238,47 +228,6 @@ def _cmd_sample_frames(args) -> int:
     return 0
 
 
-def _parse_basis_file(text: str):
-    opens: list[list[tuple[tuple[float, ...], float]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        toks = content.split()
-        if toks[0] == "open":
-            opens.append([])
-        elif toks[0] == "ball":
-            if not opens:
-                raise ParseError("ball before any open line", lineno, 1)
-            if len(toks) < 3:
-                raise ParseError("ball needs a radius and coordinates", lineno, 1)
-            try:
-                radius = float(toks[1])
-                center = tuple(float(t) for t in toks[2:])
-            except ValueError as exc:
-                raise ParseError(f"bad number in ball line: {exc}", lineno, 1) from None
-            opens[-1].append((center, radius))
-        else:
-            raise ParseError(f"unknown directive {toks[0]!r}", lineno, 1)
-    if not opens or any(not o for o in opens):
-        raise ParseError("basis needs at least one open with balls", 1, 1)
-    import numpy as np
-
-    return tuple(
-        VietorisBasicOpen(tuple((np.array(c), r) for c, r in balls))
-        for balls in opens
-    )
-
-
-def _save_basis(basis, path: str) -> None:
-    with open(path, "w") as fh:
-        for open_ in basis:
-            fh.write("open\n")
-            for center, radius in open_.balls:
-                coords = " ".join(repr(float(c)) for c in center)
-                fh.write(f"ball {radius!r} {coords}\n")
-
-
 def _resolve_basis(spec: str, sample: MetricSample, delta: float):
     kind, _, rest = spec.partition(":")
     if kind == "auto":
@@ -288,7 +237,7 @@ def _resolve_basis(spec: str, sample: MetricSample, delta: float):
             raise TspError(f"bad basis spec {spec!r}; want auto:N or file:PATH") from None
         return auto_basis(sample, n, delta)
     if kind == "file":
-        return _parse_basis_file(_read(rest))
+        return load_basis(_read(rest))
     raise TspError(f"bad basis spec {spec!r}; want auto:N or file:PATH")
 
 
@@ -310,7 +259,8 @@ def _cmd_extract(args) -> int:
     sample = load_sample(args.file, args.coords, ortho_tol=args.ortho_tol)
     basis = _resolve_basis(args.basis, sample, args.delta)
     if args.save_basis:
-        _save_basis(basis, args.save_basis)
+        with open(args.save_basis, "w") as fh:
+            fh.write(dump_basis(basis))
     result = extract_semiclassical(
         sample, basis, density_target=args.delta, margin=args.margin
     )

@@ -22,9 +22,6 @@ from typing import Iterable, Union
 
 DEFAULT_EVENT_CAP = 1 << 20  # bound on sum of 2**len(test) before enumerating
 
-_TOKEN = re.compile(r"\S+")
-
-
 class TspError(Exception):
     """Base class for all library errors."""
 
@@ -54,6 +51,27 @@ class CapExceededError(TspError):
         super().__init__(f"{message} (needed {needed}, cap {cap})")
         self.needed = needed
         self.cap = cap
+
+
+# Line boundaries are exactly those of str.splitlines().
+_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
+                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
+_TOKEN = re.compile(r"\S+")
+
+
+def _lines(text: str):
+    """Yield `(line, column, directive, [(token, column), ...])` per line.
+
+    The shared lexer of every text format: `#` starts a comment anywhere,
+    tokens are separated by whitespace, lines left without tokens are
+    skipped, and positions are 1-based.
+    """
+    for lineno, match in enumerate(_LINE.finditer(text), start=1):
+        content = match.group(1).split("#", 1)[0]
+        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
+        if toks:
+            key, col = toks[0]
+            yield lineno, col, key, toks[1:]
 
 
 @dataclass(frozen=True)
@@ -165,15 +183,6 @@ def orthogonal(ts: TestSpace, x: str, y: str) -> bool:
     return bool(ts.containing(x) & ts.containing(y))
 
 
-def ortho_relation(ts: TestSpace) -> frozenset[tuple[str, str]]:
-    """All orthogonal outcome pairs, each as a sorted 2-tuple."""
-    pairs = set()
-    for test in ts.tests:
-        for x, y in itertools.combinations(sorted(test), 2):
-            pairs.add((x, y))
-    return frozenset(pairs)
-
-
 def enumerate_events(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> list[Event]:
     """All events (subsets of tests), deduplicated, in deterministic order.
 
@@ -233,39 +242,34 @@ def load_test_space(text: str) -> TestSpace:
     `#` starts a comment anywhere; blank lines are ignored.  Errors carry
     1-based line/column positions.
     """
-    outcomes: list[str] | None = None
+    outcomes: set[str] | None = None
     tests: list[frozenset[str]] = []
     test_lines: dict[frozenset[str], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
-        if not toks:
-            continue
-        key, col = toks[0]
+    for lineno, col, key, toks in _lines(text):
         if key == "outcomes":
             if outcomes is not None:
                 raise ParseError("second outcomes line", lineno, col)
-            if len(toks) == 1:
+            if not toks:
                 raise ParseError("outcomes line lists no ids", lineno, col)
-            outcomes = []
-            for tok, tcol in toks[1:]:
+            outcomes = set()
+            for tok, tcol in toks:
                 if tok in outcomes:
                     raise ParseError(f"duplicate outcome id {tok!r}", lineno, tcol)
-                outcomes.append(tok)
+                outcomes.add(tok)
         elif key == "test":
             if outcomes is None:
                 raise ParseError("test line before outcomes line", lineno, col)
-            if len(toks) == 1:
+            if not toks:
                 raise ParseError("empty test", lineno, col)
-            members: list[str] = []
-            for tok, tcol in toks[1:]:
+            members: set[str] = set()
+            for tok, tcol in toks:
                 if tok not in outcomes:
                     raise ParseError(f"unknown outcome id {tok!r}", lineno, tcol)
                 if tok in members:
                     raise ParseError(
                         f"outcome id {tok!r} repeated within a test", lineno, tcol
                     )
-                members.append(tok)
+                members.add(tok)
             fs = frozenset(members)
             if fs in test_lines:
                 raise ParseError(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -31,12 +30,11 @@ from .core import (
     TestSpace,
     TspError,
     ValidationError,
+    _lines,
     as_event,
     enumerate_events,
     event_key,
 )
-
-_TOKEN = re.compile(r"\S+")
 
 
 class NotAlgebraicError(TspError):
@@ -429,47 +427,42 @@ class OrthoalgebraTable:
 def loads_oa(text: str) -> OrthoalgebraTable:
     """Parse an orthoalgebra table: elements, zero, one, and sum lines."""
     elements: list[str] | None = None
+    known: set[str] = set()
     zero = one = None
     sums: list[tuple[str, str, str]] = []
     stated: set[frozenset[str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
-        if not toks:
-            continue
-        key, col = toks[0]
-        names = [t for t, _ in toks[1:]]
+    for lineno, col, key, toks in _lines(text):
+        names = [t for t, _ in toks]
         if key == "elements":
             if elements is not None:
                 raise ParseError("second elements line", lineno, col)
             if not names:
                 raise ParseError("elements line lists no names", lineno, col)
-            if len(set(names)) != len(names):
+            known = set(names)
+            if len(known) != len(names):
                 raise ParseError("duplicate element name", lineno, col)
             elements = names
-        elif key in ("zero", "one"):
-            if elements is None:
-                raise ParseError(f"{key} line before elements line", lineno, col)
-            if len(names) != 1:
-                raise ParseError(f"{key} line needs exactly one name", lineno, col)
-            if names[0] not in elements:
-                raise ParseError(f"unknown element {names[0]!r}", lineno, toks[1][1])
-            if key == "zero":
-                if zero is not None:
-                    raise ParseError("second zero line", lineno, col)
-                zero = names[0]
-            else:
-                if one is not None:
-                    raise ParseError("second one line", lineno, col)
-                one = names[0]
-        elif key == "sum":
-            if elements is None:
-                raise ParseError("sum line before elements line", lineno, col)
-            if len(names) != 3:
-                raise ParseError("sum line needs three names: p q r", lineno, col)
-            for tok, tcol in toks[1:]:
-                if tok not in elements:
-                    raise ParseError(f"unknown element {tok!r}", lineno, tcol)
+            continue
+        if key not in ("zero", "one", "sum"):
+            raise ParseError(f"unknown directive {key!r}", lineno, col)
+        if elements is None:
+            raise ParseError(f"{key} line before elements line", lineno, col)
+        if key == "sum" and len(names) != 3:
+            raise ParseError("sum line needs three names: p q r", lineno, col)
+        if key != "sum" and len(names) != 1:
+            raise ParseError(f"{key} line needs exactly one name", lineno, col)
+        for tok, tcol in toks:
+            if tok not in known:
+                raise ParseError(f"unknown element {tok!r}", lineno, tcol)
+        if key == "zero":
+            if zero is not None:
+                raise ParseError("second zero line", lineno, col)
+            zero = names[0]
+        elif key == "one":
+            if one is not None:
+                raise ParseError("second one line", lineno, col)
+            one = names[0]
+        else:
             pair = frozenset(names[:2])  # singleton key for p == p lines
             if pair in stated:
                 raise ParseError(
@@ -477,8 +470,6 @@ def loads_oa(text: str) -> OrthoalgebraTable:
                 )
             stated.add(pair)
             sums.append((names[0], names[1], names[2]))
-        else:
-            raise ParseError(f"unknown directive {key!r}", lineno, col)
     if elements is None:
         raise ParseError("missing elements line", 1, 1)
     if zero is None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,13 +25,14 @@ from .core import (
     TspError,
     UnknownOutcomeError,
     ValidationError,
+    _lines,
+    dump_test_space,
+    load_test_space,
 )
 
 DEFAULT_ORTHO_TOL = 1e-9  # angular tolerance (radians) for test orthogonality
 UNIT_NORM_TOL = 1e-12
 EXHAUSTIVE_MATCH_LIMIT = 8  # brute-force bijections up to this cardinality
-
-_TOKEN = re.compile(r"\S+")
 
 
 class ConvergenceError(TspError):
@@ -167,16 +168,14 @@ class VietorisBasicOpen:
     def __post_init__(self):
         if not self.balls:
             raise ValidationError("a basic open needs at least one ball")
-        dims = {np.asarray(c).shape for c, _ in self.balls}
-        if len(dims) != 1:
-            raise ValidationError("ball centers must share a dimension")
-        if any(r <= 0 for _, r in self.balls):
-            raise ValidationError("ball radii must be positive")
-        object.__setattr__(
-            self,
-            "balls",
-            tuple((np.asarray(c, dtype=float), float(r)) for c, r in self.balls),
-        )
+        balls = tuple((np.asarray(c, dtype=float), float(r)) for c, r in self.balls)
+        if len({c.shape for c, _ in balls}) != 1 or balls[0][0].ndim != 1:
+            raise ValidationError("ball centers must be vectors of one dimension")
+        if not all(math.isfinite(r) and r > 0 for _, r in balls):
+            raise ValidationError("ball radii must be finite and positive")
+        if not all(np.isfinite(c).all() for c, _ in balls):
+            raise ValidationError("ball centers must be finite")
+        object.__setattr__(self, "balls", balls)
 
     @cached_property
     def centers(self) -> np.ndarray:
@@ -191,6 +190,53 @@ def basic_open(centers, radius: float) -> VietorisBasicOpen:
     """Convenience constructor: one shared radius around each center."""
     pts = np.atleast_2d(np.asarray(centers, dtype=float))
     return VietorisBasicOpen(tuple((c, radius) for c in pts))
+
+
+def _floats(toks, lineno: int, what: str) -> list[float]:
+    out = []
+    for tok, col in toks:
+        try:
+            out.append(float(tok))
+        except ValueError:
+            raise ParseError(f"bad {what} {tok!r}", lineno, col) from None
+    return out
+
+
+def load_basis(text: str) -> tuple[VietorisBasicOpen, ...]:
+    """Parse basis text: `open` starts a basic open, `ball <r> <x1> ... <xd>`
+    adds a ball to the current one."""
+    opens: list[tuple[int, int, list[tuple[list[float], float]]]] = []
+    for lineno, col, key, toks in _lines(text):
+        if key == "open":
+            if toks:
+                raise ParseError("open line takes no arguments", lineno, toks[0][1])
+            opens.append((lineno, col, []))
+        elif key == "ball":
+            if not opens:
+                raise ParseError("ball before any open line", lineno, col)
+            if len(toks) < 2:
+                raise ParseError("ball needs a radius and coordinates", lineno, col)
+            radius, *center = _floats(toks, lineno, "number")
+            opens[-1][2].append((center, radius))
+        else:
+            raise ParseError(f"unknown directive {key!r}", lineno, col)
+    if not opens:
+        raise ParseError("basis needs at least one open with balls", 1, 1)
+    for lineno, col, balls in opens:
+        if not balls:
+            raise ParseError("open without balls", lineno, col)
+    return tuple(VietorisBasicOpen(tuple(balls)) for _, _, balls in opens)
+
+
+def dump_basis(basis) -> str:
+    """Serialize basic opens to basis text; `load_basis` reads it back exactly."""
+    lines = []
+    for open_ in basis:
+        lines.append("open\n")
+        for center, radius in open_.balls:
+            coords = " ".join(repr(float(c)) for c in center)
+            lines.append(f"ball {radius!r} {coords}\n")
+    return "".join(lines)
 
 
 # Above this size the distance matrix is built by the Gram-expansion trick,
@@ -457,23 +503,19 @@ def sum_map_lipschitz(f, lipschitz_constant: float, a, b) -> LipschitzCheck:
     return LipschitzCheck(diff, bound, diff <= bound + FLOAT_SLACK)
 
 
+def sidecar_path(tsp_path: str) -> str:
+    """The coordinate sidecar of a space file: `X.tsp` -> `X.coords`."""
+    base = tsp_path[:-4] if tsp_path.endswith(".tsp") else tsp_path
+    return base + ".coords"
+
+
 def save_sample(sample: MetricSample, tsp_path, coords_path=None, header: str | None = None):
     """Write the combinatorial file plus the coordinate sidecar; returns paths."""
-    import os
-
     tsp_path = os.fspath(tsp_path)
     if coords_path is None:
-        base = tsp_path[:-4] if tsp_path.endswith(".tsp") else tsp_path
-        coords_path = base + ".coords"
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    lines.append("outcomes " + " ".join(sample.ids))
-    for test in sample.tests:
-        lines.append("test " + " ".join(sorted(test)))
+        coords_path = sidecar_path(tsp_path)
     with open(tsp_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dump_test_space(sample.to_test_space(), header))
     with open(coords_path, "w") as fh:
         for x in sample.ids:
             coords = " ".join(repr(float(c)) for c in sample.point(x))
@@ -485,30 +527,20 @@ def parse_coords(text: str) -> dict[str, tuple[float, ...]]:
     """Parse sidecar lines `outcome <id> <c1> ... <cd>`."""
     out: dict[str, tuple[float, ...]] = {}
     dim = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
-        if not toks:
-            continue
-        key, col = toks[0]
+    for lineno, col, key, toks in _lines(text):
         if key != "outcome":
             raise ParseError(f"unknown directive {key!r}", lineno, col)
-        if len(toks) < 3:
+        if len(toks) < 2:
             raise ParseError("outcome line needs an id and coordinates", lineno, col)
-        ident = toks[1][0]
+        (ident, icol), *values = toks
         if ident in out:
-            raise ParseError(f"duplicate coordinates for {ident!r}", lineno, toks[1][1])
-        vals = []
-        for tok, tcol in toks[2:]:
-            try:
-                vals.append(float(tok))
-            except ValueError:
-                raise ParseError(f"bad coordinate {tok!r}", lineno, tcol) from None
+            raise ParseError(f"duplicate coordinates for {ident!r}", lineno, icol)
+        vals = _floats(values, lineno, "coordinate")
         if dim is None:
             dim = len(vals)
         elif len(vals) != dim:
             raise ParseError(
-                f"expected {dim} coordinates, got {len(vals)}", lineno, toks[2][1]
+                f"expected {dim} coordinates, got {len(vals)}", lineno, values[0][1]
             )
         out[ident] = tuple(vals)
     if not out:
@@ -516,25 +548,30 @@ def parse_coords(text: str) -> dict[str, tuple[float, ...]]:
     return out
 
 
-def load_sample(tsp_path, coords_path=None, ortho_tol: float = DEFAULT_ORTHO_TOL) -> MetricSample:
-    """Load a sampled space from a combinatorial file plus coordinate sidecar."""
-    import os
+def parse_sample(tsp_text: str, coords_text: str) -> tuple[TestSpace, np.ndarray]:
+    """Parse a space and its sidecar; coordinate rows follow the outcome order.
 
-    from .core import load_test_space
-
-    tsp_path = os.fspath(tsp_path)
-    if coords_path is None:
-        base = tsp_path[:-4] if tsp_path.endswith(".tsp") else tsp_path
-        coords_path = base + ".coords"
-    with open(tsp_path) as fh:
-        ts = load_test_space(fh.read())
-    with open(coords_path) as fh:
-        coords = parse_coords(fh.read())
+    Every outcome needs coordinates, and every coordinate line a known outcome.
+    """
+    ts = load_test_space(tsp_text)
+    coords = parse_coords(coords_text)
     missing = [x for x in ts.outcomes if x not in coords]
     if missing:
         raise ValidationError(f"coordinates missing for outcomes {missing[:5]}")
     extra = sorted(set(coords) - set(ts.outcomes))
     if extra:
         raise ValidationError(f"coordinates for unknown outcomes {extra[:5]}")
-    pts = np.array([coords[x] for x in ts.outcomes], dtype=float)
+    return ts, np.array([coords[x] for x in ts.outcomes], dtype=float)
+
+
+def load_sample(tsp_path, coords_path=None, ortho_tol: float = DEFAULT_ORTHO_TOL) -> MetricSample:
+    """Load a sampled space from a combinatorial file plus coordinate sidecar."""
+    tsp_path = os.fspath(tsp_path)
+    if coords_path is None:
+        coords_path = sidecar_path(tsp_path)
+    with open(tsp_path) as fh:
+        tsp_text = fh.read()
+    with open(coords_path) as fh:
+        coords_text = fh.read()
+    ts, pts = parse_sample(tsp_text, coords_text)
     return MetricSample(ts.outcomes, pts, ts.tests, ortho_tol)

@@ -143,6 +143,17 @@ def _frame_points(sample: MetricSample) -> np.ndarray:
     return np.stack([sample.points_of(t) for t in sample.tests])
 
 
+def _check_basis(basis: tuple, dim: int) -> None:
+    for open_ in basis:
+        if not isinstance(open_, VietorisBasicOpen):
+            raise ValidationError("basis entries must be basic opens")
+        if open_.centers.shape[1] != dim:
+            raise ValidationError(
+                f"basis open of dimension {open_.centers.shape[1]} "
+                f"for a sample of dimension {dim}"
+            )
+
+
 def extract_semiclassical(
     sample: MetricSample,
     basis,
@@ -167,14 +178,13 @@ def extract_semiclassical(
         raise ValidationError("basis must contain at least one open")
     pts = _frame_points(sample)
     count, size, dim = pts.shape
+    _check_basis(basis, dim)
     flat = pts.reshape(count * size, dim)
     mindist = np.full(count * size, np.inf)
     selected: list[int] = []
     open_hits: list[int | None] = []
     separation = np.inf
     for open_ in basis:
-        if not isinstance(open_, VietorisBasicOpen):
-            raise ValidationError("basis entries must be basic opens")
         dist = pairwise_distances(flat, open_.centers).reshape(
             count, size, len(open_.balls)
         )
@@ -282,6 +292,7 @@ def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
     if delta <= 0:
         raise ValidationError("density target must be positive")
     pts = _frame_points(sample)
+    _check_basis(basis, pts.shape[2])
     flat = pts.reshape(len(pts) * pts.shape[1], -1)
     mind = np.full(len(flat), np.inf)
     for open_ in basis:

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import io
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import CORPUS_NAMES
 from testspaces import corpus
 from testspaces.cli import main
+from testspaces.core import ValidationError
 from testspaces.logic import boolean_oa
-from testspaces.metric import load_sample
+from testspaces.metric import load_sample, sample_frames, save_sample
 
 MO2_DIGEST = "9a129d0256736bd8399387e0c2b5d3d316ca33a1f62b35cb5e23d1e50b1a7db8"
 
@@ -322,6 +328,42 @@ def test_extract_rejects_bad_basis_spec(capsys, tmp_path):
     assert "basis spec" in err
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ("open\nball nan 1 0 0\n", "radii must be finite and positive"),
+        ("open\nball inf 1 0 0\n", "radii must be finite and positive"),
+        ("open\nball 0 1 0 0\n", "radii must be finite and positive"),
+        ("open\nball -0.5 1 0 0\n", "radii must be finite and positive"),
+        ("open\nball 0.5 nan 0 0\n", "centers must be finite"),
+        ("open\nball 0.5 1 -inf 0\n", "centers must be finite"),
+        ("open\nball 0.5 1 0 zz\n", "line 2, column 14: bad number 'zz'"),
+        ("open\n  ball\n", "line 2, column 3: ball needs a radius"),
+        ("open 2\nball 0.5 1 0 0\n", "line 1, column 6: open line takes no arguments"),
+        ("open\nball 0.5 1 0 0\n\n  open  # empty\n", "line 4, column 3: open without balls"),
+        ("# no opens\n", "line 1, column 1: basis needs at least one open"),
+        ("open\nball 0.5 1 0\n", "basis open of dimension 2 for a sample of dimension 3"),
+    ],
+)
+def test_extract_rejects_bad_basis_file(capsys, tmp_path, basis, message):
+    path = frames_file(capsys, tmp_path, n=4, seed=6)
+    (tmp_path / "b.basis").write_text(basis)
+    code, out, err = run(capsys, "extract", path, "--basis", f"file:{tmp_path / 'b.basis'}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_metric_check_and_load_sample_reject_extra_coordinates(capsys, tmp_path):
+    path = frames_file(capsys, tmp_path)
+    coords = tmp_path / "frames.coords"
+    coords.write_text(coords.read_text() + "outcome zzz 1.0 0.0 0.0\n")
+    code, out, err = run(capsys, "metric", "check", path)
+    assert code == 2
+    assert "coordinates for unknown outcomes ['zzz']" in err
+    with pytest.raises(ValidationError, match="unknown outcomes"):
+        load_sample(path)
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -337,3 +379,142 @@ def test_parse_errors_carry_positions(capsys, tmp_path):
     code, _, err = run(capsys, "info", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+# ---------------------------------------------------------------- golden
+
+# (exit code, sha256 of stdout) per command, and sha256 of each written
+# file: CLI output bytes are part of the behaviour contract.
+GOLDEN = {
+    "info classical-3": "0 2395526d13599084093b5fdcdc758f2395723047cbfcc75b44260aa100ab6ffa",
+    "logic classical-3": "0 6784bc013f0599c053895710d7c7a27aebffc4c7c0e2342984782eec22d441c7",
+    "states classical-3": "0 92ff1abd665382b4f3c4fad1bd63a618df98e67fc26cab7499e0009076571937",
+    "info two-disjoint": "0 4abb1fe4b4999d419318c5ac1904fd014906dc1c4680882c315ac626d01accd2",
+    "logic two-disjoint": "0 02481cb59e0fb05f5567b61eb8bb671f9a42478aeac52179cb0ad053865459d9",
+    "states two-disjoint": "0 2b26ece680f14fe12b6538bf36898ac7d0102a25f964ef5279b56d5737be45e6",
+    "info glued-pair": "0 1de9b8f69238aad1ccac5d74df73c0546f18077d93523682216a90d0ff0177ed",
+    "logic glued-pair": "0 76f2166efce6cd8007cab214017a5ca718f8c2d7c13dc6174945e257666db1a9",
+    "states glued-pair": "0 c80335954836d6d43dcab97923f61dc3132062db23f2e18280136db5cdfdd8c4",
+    "info triangle": "0 97d4117dfa8b0be46452a890fd8ba164420d96f98bfada6c87f267234fd5a2ed",
+    "logic triangle": "0 5de7fb30b98a166be6f9dc14a0db9d44ba3da515a9262c65390dffbb573a831c",
+    "states triangle": "0 2d68ddac515d7f11db0b65c6ff6d6d2925115651f301dfc12319016291c52c38",
+    "info mo2": "0 4abb1fe4b4999d419318c5ac1904fd014906dc1c4680882c315ac626d01accd2",
+    "logic mo2": "0 02481cb59e0fb05f5567b61eb8bb671f9a42478aeac52179cb0ad053865459d9",
+    "states mo2": "0 688bf1a8a469d1ab73496d0cf60bf2b072d7f971cbdd273b66f4d4ab2d3ab50e",
+    "info stateless": "0 9ea9f04b1e0e8bb04a266ff72a5fa748224695c30ae8922dbade4098873bafc5",
+    "logic stateless": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "states stateless": "0 03ee8cff30216000640650972ab18efbff66d13486ed34cb9ce75fc6dcfd59ec",
+    "oa bool3": "0 954f33bbb2aed6c05fa3761173fd482dc53cd8e8fe63430cc8303f71c7493021",
+    "sample-frames": "0 1a4909c947545e9ae58731fe57497dff84b6634f9eb4b203553ed3c13d8d26ab",
+    "metric check": "0 05c0adc8a4392f25d9de8d415993420569faa25de199715b52aeccb3caa971cd",
+    "extract": "0 dbdf7f89469742e96a862430084159e85a44cb1cc0d3285e707d6f2231821b0a",
+    "file s.tsp": "83009566b3b68a3f1a5b83f77247a273ae1dff07837b7ef1f156471d2b5eb8df",
+    "file s.coords": "48b0ff90dac1860d24c184f8320db0b6bfdc8bef1aa4daf6ca39389faf408019",
+    "file B.basis": "12df31ebeb01a336a7fc6501c4d4c36c9c3caea37ec4a69fc414d5f050cab8a7",
+    "file O.tsp": "3c4c2217e14b1f9f202d7ce34d0300b852c23d6978dea7a2aed03ea9703018a7",
+    "file O.coords": "9df10ca2fd537ce12f1cf80e2bad55e65329417a444f4b8db59a5ca807a96401",
+}
+
+
+def sha(data: str) -> str:
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+def golden_outputs(capsys, tmp_path, monkeypatch) -> dict[str, str]:
+    monkeypatch.chdir(tmp_path)  # relative paths keep the reports path-free
+    got = {}
+
+    def record(name, *argv):
+        code, out, _ = run(capsys, *argv)
+        got[name] = f"{code} {sha(out)}"
+
+    for name in CORPUS_NAMES:
+        Path(f"{name}.tsp").write_text(corpus.gen(name))
+        record(f"info {name}", "info", f"{name}.tsp")
+        record(f"logic {name}", "logic", f"{name}.tsp")
+        record(f"states {name}", "states", "--dispersion-free", f"{name}.tsp")
+    Path("bool3.oa").write_text(oa_file_text(boolean_oa(3)))
+    record("oa bool3", "oa", "--roundtrip", "bool3.oa")
+    record("sample-frames", "sample-frames", "-n", "200", "--seed", "0", "-o", "s.tsp")
+    record("metric check", "metric", "check", "s.tsp")
+    record(
+        "extract", "extract", "s.tsp", "--basis", "auto:10", "--resample-factor", "2",
+        "--save-basis", "B.basis", "--out", "O.tsp",
+    )
+    for name in ("s.tsp", "s.coords", "B.basis", "O.tsp", "O.coords"):
+        got[f"file {name}"] = sha(Path(name).read_text())
+    return got
+
+
+def test_cli_output_matches_golden_digests(capsys, tmp_path, monkeypatch):
+    assert golden_outputs(capsys, tmp_path, monkeypatch) == GOLDEN
+
+
+# ------------------------------------------------------------------ fuzz
+
+FUZZ_BASIS = "open\nball 0.9 1 0 0\nopen  # two balls\nball 1.2 0 0 1\nball 1.2 0 1 0\n"
+ODD_TOKENS = ("nan", "inf", "-inf", "0", "-0", "-1", "-2.5", "1e400", "zz", "#", "a#b", "")
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("set", "add", "drop", "line", "dup")),
+        st.integers(0, 40),
+        st.integers(0, 8),
+        st.sampled_from(ODD_TOKENS),
+    ),
+    max_size=4,
+)
+
+
+def mutate(text: str, edits) -> str:
+    """Apply token and line edits: replace, insert or drop a token, insert
+    a line (blank when the token is empty), or duplicate a line."""
+    lines = [line.split() for line in text.splitlines()]
+    for op, i, j, tok in edits:
+        if op == "line":
+            lines.insert(i % (len(lines) + 1), [tok] if tok else [])
+            continue
+        if not lines:
+            continue
+        row = lines[i % len(lines)]
+        if op == "dup":
+            lines.insert(i % len(lines), list(row))
+        elif op == "add":
+            row.insert(j % (len(row) + 1), tok)
+        elif row and op == "set":
+            row[j % len(row)] = tok
+        elif row:
+            del row[j % len(row)]
+    return "".join(" ".join(row) + "\n" for row in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_sample(sample_frames(3, 6, 3), path / "s.tsp")
+    return path
+
+
+@pytest.mark.parametrize("fmt", ["tsp", "oa", "coords", "basis"])
+@settings(max_examples=40, deadline=None)
+@given(edits=EDITS)
+@example(edits=[("drop", 1, 4, "")])  # 2-D ball against the 3-D sample
+@example(edits=[("set", 1, 1, "nan")])
+def test_mutated_inputs_keep_the_exit_code_contract(fuzz_dir, fmt, edits):
+    sample = str(fuzz_dir / "s.tsp")
+    base = {
+        "tsp": corpus.gen("triangle"),
+        "oa": oa_file_text(boolean_oa(2)),
+        "coords": (fuzz_dir / "s.coords").read_text(),
+        "basis": FUZZ_BASIS,
+    }[fmt]
+    path = fuzz_dir / f"mutated.{fmt}"
+    path.write_text(mutate(base, edits))
+    argv = {
+        "tsp": ["info", str(path)],
+        "oa": ["oa", "--roundtrip", str(path)],
+        "coords": ["metric", "check", sample, "--coords", str(path)],
+        "basis": ["extract", sample, "--basis", f"file:{path}", "--delta", "0.9"],
+    }[fmt]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--strict", *argv])
+    assert code in (0, 1, 2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from testspaces.core import (
     TestSpace,
     UnknownOutcomeError,
     ValidationError,
+    _lines,
     as_event,
     complementary,
     dump_test_space,
@@ -166,6 +168,19 @@ def test_parse_errors_carry_positions(text, line, col):
     with pytest.raises(ParseError) as exc:
         load_test_space(text)
     assert (exc.value.line, exc.value.column) == (line, col)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ab #\t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029\u3000"))
+def test_lexer_matches_per_line_reference(text):
+    # the reading every format used before they shared one lexer
+    expected = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
+        if toks:
+            expected.append((lineno, toks[0][1], toks[0][0], toks[1:]))
+    assert list(_lines(text)) == expected
 
 
 def test_load_requires_outcomes_and_tests():

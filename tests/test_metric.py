@@ -15,8 +15,10 @@ from testspaces.metric import (
     basic_open,
     check_sample_invariants,
     closure_check,
+    dump_basis,
     event_cardinality_locally_constant,
     hausdorff_distance,
+    load_basis,
     load_sample,
     matching_distance,
     parse_coords,
@@ -28,6 +30,7 @@ from testspaces.metric import (
     vietoris_member,
 )
 from testspaces.core import ParseError
+from testspaces.semiclassical import auto_basis
 
 from oracles import bottleneck_oracle, hausdorff_oracle
 
@@ -68,6 +71,27 @@ def test_basic_open_validation():
         VietorisBasicOpen(())
     with pytest.raises(ValidationError):
         basic_open([E1], 0.0)
+    for radius in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValidationError, match="radii"):
+            basic_open([E1], radius)
+    for center in ([math.nan, 0.0, 0.0], [0.0, -math.inf, 0.0]):
+        with pytest.raises(ValidationError, match="centers"):
+            basic_open([center], 0.5)
+    for balls in (((E1, 0.5), (E1[:2], 0.5)), ((1.0, 0.5),)):
+        with pytest.raises(ValidationError, match="vectors of one dimension"):
+            VietorisBasicOpen(balls)
+
+
+def test_basis_text_roundtrip_is_exact():
+    s = sample_frames(3, 9, seed=2)
+    basis = auto_basis(s, 4, 0.5) + (basic_open([E1, E2], 0.1),)
+    text = dump_basis(basis)
+    assert text.startswith("open\nball ")
+    loaded = load_basis(text)
+    assert dump_basis(loaded) == text
+    for a, b in zip(basis, loaded):
+        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.radii, b.radii)
 
 
 # -------------------------------------------------------------- distances

@@ -165,6 +165,11 @@ def test_extraction_input_validation():
     )
     with pytest.raises(ValidationError, match="common size"):
         extract_semiclassical(mixed, [basic_open([E1], 2.1)])
+    flat = basic_open([[1.0, 0.0]], 2.1)
+    with pytest.raises(ValidationError, match="dimension 2 for a sample of dimension 3"):
+        extract_semiclassical(s, [basic_open([E1], 2.1), flat])
+    with pytest.raises(ValidationError, match="dimension 2 for a sample of dimension 3"):
+        extend_basis(s, [flat], 1, delta=0.5)
 
 
 def test_extraction_density_target_flag():
