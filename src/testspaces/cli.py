@@ -40,7 +40,6 @@ from .metric import (
     check_sample_invariants,
     dump_basis,
     load_basis,
-    load_sample,
     parse_sample,
     sample_frames,
     save_sample,
@@ -199,9 +198,15 @@ def _cmd_oa(args) -> int:
     return 1 if args.strict and not ok else 0
 
 
+def _read_sample(path: str, coords: str | None) -> tuple[str, str]:
+    """The texts of a sampled space and of its coordinates."""
+    if coords is None and path == "-":
+        raise TspError("a space read from stdin needs --coords")
+    return _read(path), _read(coords or sidecar_path(path))
+
+
 def _cmd_metric_check(args) -> int:
-    coords_path = args.coords or sidecar_path(args.file)
-    ts, pts = parse_sample(_read(args.file), _read(coords_path))
+    ts, pts = parse_sample(*_read_sample(args.file, args.coords))
     rows = check_sample_invariants(ts.outcomes, pts, ts.tests, args.ortho_tol)
     out = []
     failed = False
@@ -256,7 +261,9 @@ def _extraction_rows(result, prefix: str = ""):
 
 
 def _cmd_extract(args) -> int:
-    sample = load_sample(args.file, args.coords, ortho_tol=args.ortho_tol)
+    text, coords_text = _read_sample(args.file, args.coords)
+    ts, pts = parse_sample(text, coords_text)
+    sample = MetricSample(ts.outcomes, pts, ts.tests, args.ortho_tol)
     basis = _resolve_basis(args.basis, sample, args.delta)
     if args.save_basis:
         with open(args.save_basis, "w") as fh:
@@ -267,7 +274,7 @@ def _cmd_extract(args) -> int:
     rows = _extraction_rows(result)
     preserved = True
     if args.resample_factor > 1:
-        match = _FRAME_HEADER.search(_read(args.file))
+        match = _FRAME_HEADER.search(text)
         if match is None:
             raise TspError(
                 "resampling needs a '# frames dim=.. count=.. seed=..' header"
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metric", help="operations on sampled spaces")
     msub = p.add_subparsers(dest="metric_command", required=True)
     mc = msub.add_parser("check", help="run the sample invariant battery")
-    mc.add_argument("file", help="space file")
+    mc.add_argument("file", help="space file, or - for stdin (then --coords is needed)")
     mc.add_argument("--coords", default=None,
                     help="coordinate sidecar (default: .coords next to the file)")
     mc.add_argument("--ortho-tol", type=float, default=DEFAULT_ORTHO_TOL)
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample_frames)
 
     p = sub.add_parser("extract", help="extract a semi-classical subspace")
-    p.add_argument("file", help="sampled space file (.tsp)")
+    p.add_argument("file", help="sampled space file (.tsp), or - for stdin (then --coords is needed)")
     p.add_argument("--coords", default=None, help="coordinate sidecar")
     p.add_argument("--basis", required=True, help="auto:N or file:PATH")
     p.add_argument("--delta", type=float, default=0.3,

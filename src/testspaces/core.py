@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Iterable, Union
 
 DEFAULT_EVENT_CAP = 1 << 20  # bound on sum of 2**len(test) before enumerating
+DENSE_TABLE_CAP = 4096  # most elements of a logic or sum table, stored as a dense n-by-n table
 
 class TspError(Exception):
     """Base class for all library errors."""

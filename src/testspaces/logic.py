@@ -25,13 +25,14 @@ import numpy as np
 
 from .core import (
     DEFAULT_EVENT_CAP,
+    DENSE_TABLE_CAP,
+    CapExceededError,
     Event,
     ParseError,
     TestSpace,
     TspError,
     ValidationError,
     _lines,
-    as_event,
     enumerate_events,
     event_key,
 )
@@ -55,11 +56,71 @@ class AxiomViolationError(TspError):
     """An orthoalgebra axiom fails (bad input table, or an internal bug)."""
 
 
-def _complement_map(ts, events):
-    return {
-        e.members: frozenset(t - e.members for t in ts.tests if e.members <= t)
-        for e in events
-    }
+_BLOCK = 1 << 16  # elements per temporary array in the vectorised sweeps
+
+
+def _blocks(count: int, width: int):
+    """Slices over `count` rows of `width` elements, about _BLOCK elements each."""
+    step = max(1, _BLOCK // max(width, 1))
+    for start in range(0, count, step):
+        yield slice(start, start + step)
+
+
+def _events_and_complements(ts, cap):
+    """Events in event_key order, their complements, and each test's sub-events.
+
+    comp[k] holds the indices of the events complementary to event k, and
+    fibre[k] numbers that set among the distinct ones in order of first
+    appearance.  by_test[i][mask] is the index of the sub-event of test i
+    that `mask` picks from its sorted members, so the complement in that
+    test of the entry at `mask` sits at the reversed position.
+    """
+    events = enumerate_events(ts, cap)
+    index = {e.members: k for k, e in enumerate(events)}
+    comp: list[set[int]] = [set() for _ in events]
+    by_test = []
+    for test in ts.tests:
+        subsets = [frozenset()]
+        for x in sorted(test):
+            subsets += [s | {x} for s in subsets]
+        ids = [index[s] for s in subsets]
+        for k, c in zip(ids, reversed(ids)):
+            comp[k].add(c)
+        by_test.append(ids)
+    comp = [frozenset(c) for c in comp]
+    numbers: dict[frozenset[int], int] = {}
+    fibre = [numbers.setdefault(c, len(numbers)) for c in comp]
+    return events, comp, fibre, by_test
+
+
+def _algebraic_witness(comp, fibre):
+    """Event indices (a, b, c) of the first failure of algebraicity, or None.
+
+    The space is algebraic exactly when all events that share a complement
+    have the same complement set.  The witness is the first A in event
+    order, the first B perspective to it whose complements are not all
+    complements of A, and the least such complement C.
+    """
+    seen: dict[int, int] = {}
+    bad = set()
+    for ck, f in zip(comp, fibre):
+        for c in ck:
+            if seen.setdefault(c, f) != f:
+                bad.add(c)
+    if not bad:
+        return None
+    # Only events sharing a mixed complement can take part in a failure.
+    sharing = defaultdict(list)
+    for k, ck in enumerate(comp):
+        for c in ck & bad:
+            sharing[c].append(k)
+    for a in sorted({k for c in bad for k in sharing[c]}):
+        ca = comp[a]
+        for b in sorted({k for c in ca & bad for k in sharing[c]}):
+            extra = comp[b] - ca
+            if extra:
+                return a, b, min(extra)
+    raise AssertionError("mixed complement without a failing pair")
 
 
 def is_algebraic(
@@ -70,94 +131,129 @@ def is_algebraic(
     The witness satisfies: A perspective to B, B complementary to C, but A
     not complementary to C.
     """
-    events = enumerate_events(ts, cap)
-    comp = _complement_map(ts, events)
-    for a in events:
-        for b in events:
-            ca, cb = comp[a.members], comp[b.members]
-            if ca & cb and cb - ca:
-                c = min(cb - ca, key=event_key)
-                return False, (a, b, as_event(ts, c))
-    return True, None
+    events, comp, fibre, _ = _events_and_complements(ts, cap)
+    witness = _algebraic_witness(comp, fibre)
+    if witness is None:
+        return True, None
+    return False, tuple(events[k] for k in witness)
 
 
-def _verify_orthoalgebra(n, zero, one, osum, what, names=None):
-    """Exhaustively check axioms over an integer-indexed partial sum table.
+def _check_table_size(n: int) -> None:
+    if n > DENSE_TABLE_CAP:
+        raise CapExceededError("too many elements for a dense sum table", n, DENSE_TABLE_CAP)
 
-    Returns the complement list; raises AxiomViolationError on any failure.
-    Definedness is symmetric by construction of the callers, so commutativity
-    reduces to the associativity sweep below.  `names` maps indices to
-    display labels in error messages.
+
+def _association_failure(table):
+    """First (p, q, r) with q + r and p + (q + r) defined but (p + q) + r not equal.
+
+    Every defined pair (p, s) is checked against every decomposition
+    s = q + r, so the work is the number of such triples, taken in blocks.
     """
+    n = len(table)
+    ps, ss = np.nonzero(table >= 0)
+    sums = table[ps, ss]
+    by_sum = np.argsort(sums, kind="stable")
+    dec_q, dec_r = ps[by_sum], ss[by_sum]
+    count = np.bincount(sums, minlength=n)
+    first = np.cumsum(count) - count
+    weight = count[ss]
+    ends = np.cumsum(weight)
+    lo = 0
+    while lo < len(ps):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - weight[lo] + _BLOCK, "right")))
+        w = weight[lo:hi]
+        p = np.repeat(ps[lo:hi], w)
+        left = np.repeat(sums[lo:hi], w)
+        at = np.repeat(first[ss[lo:hi]] - (np.cumsum(w) - w), w) + np.arange(w.sum())
+        q, r = dec_q[at], dec_r[at]
+        pq = table[p, q]
+        bad = (pq < 0) | (table[pq, r] != left)
+        if bad.any():
+            k = int(bad.argmax())
+            return int(p[k]), int(q[k]), int(r[k])
+        lo = hi
+    return None
+
+
+def _verify_table(table, zero, one, what, names=None):
+    """Exhaustively check the orthoalgebra axioms and the natural order.
+
+    `table[p, q]` is p + q, or -1 where undefined.  Returns the complement
+    array and the order matrix (p <= q iff p + r = q for some r); raises
+    AxiomViolationError on any failure.  `names` maps indices to display
+    labels in error messages.
+    """
+    n = len(table)
     label = (lambda i: names[i]) if names is not None else str
+    every = np.arange(n)
 
     def fail(msg):
         raise AxiomViolationError(f"{what}: {msg}")
 
-    for (p, q), r in osum.items():
-        if osum.get((q, p)) != r:
-            fail(f"sum not commutative at ({label(p)}, {label(q)})")
-    for p in range(n):
-        if (p, p) in osum and p != zero:
+    defined = table >= 0
+    bad = np.argwhere(defined & (table != table.T))
+    if len(bad):
+        p, q = bad[0]
+        fail(f"sum not commutative at ({label(p)}, {label(q)})")
+    self_sum = defined[every, every] & (every != zero)
+    bad = np.flatnonzero(self_sum | (table[:, zero] != every))
+    if len(bad):
+        p = bad[0]
+        if self_sum[p]:
             fail(f"element {label(p)} summable with itself")
-        if osum.get((p, zero)) != p:
-            fail(f"{label(p)} + 0 != {label(p)}")
-    # Associativity, with one side defined iff the other.  Sweep each defined
-    # pair against every third element, in both association orders.
-    for (q, r), qr in list(osum.items()):
-        for p in range(n):
-            left = osum.get((p, qr))
-            if left is not None:
-                pq = osum.get((p, q))
-                if pq is None or osum.get((pq, r)) != left:
-                    fail(f"association mismatch at ({label(p)}, {label(q)}, {label(r)})")
-    for (p, q), pq in list(osum.items()):
-        for r in range(n):
-            right = osum.get((pq, r))
-            if right is not None:
-                qr = osum.get((q, r))
-                if qr is None or osum.get((p, qr)) != right:
-                    fail(f"association mismatch at ({label(p)}, {label(q)}, {label(r)})")
-    ocomp = []
-    for p in range(n):
-        comps = [q for q in range(n) if osum.get((p, q)) == one]
-        if len(comps) != 1:
-            fail(f"element {label(p)} has {len(comps)} complements, want exactly 1")
-        ocomp.append(comps[0])
-    for p in range(n):
-        if ocomp[ocomp[p]] != p:
-            fail(f"orthocomplement not involutive at {label(p)}")
-    return ocomp
-
-
-def _order_matrix(n, zero, one, osum, ocomp, what):
-    """Natural order p <= q iff p + r = q for some r; verified a partial order."""
-
-    def fail(msg):
-        raise AxiomViolationError(f"{what}: {msg}")
+        fail(f"{label(p)} + 0 != {label(p)}")
+    # Associativity, with one side defined iff the other, in both association
+    # orders; the second sweep is the first one run on the transposed table.
+    triple = _association_failure(table)
+    mirrored = None if triple else _association_failure(table.T)
+    if mirrored:
+        triple = mirrored[::-1]
+    if triple:
+        fail("association mismatch at ({}, {}, {})".format(*map(label, triple)))
+    is_one = table == one
+    count = is_one.sum(axis=1)
+    bad = np.flatnonzero(count != 1)
+    if len(bad):
+        p = bad[0]
+        fail(f"element {label(p)} has {count[p]} complements, want exactly 1")
+    ocomp = is_one.argmax(axis=1)
+    bad = np.flatnonzero(ocomp[ocomp] != every)
+    if len(bad):
+        fail(f"orthocomplement not involutive at {label(bad[0])}")
 
     leq = np.zeros((n, n), dtype=bool)
-    for (p, _r), t in osum.items():
-        leq[p, t] = True
-    for p in range(n):
-        if not leq[p, p]:
-            fail(f"order not reflexive at {p}")
-        if not leq[zero, p] or not leq[p, one]:
-            fail(f"bounds fail at {p}")
-    for p in range(n):
-        for q in range(n):
-            if leq[p, q]:
-                if leq[q, p] and p != q:
-                    fail(f"order not antisymmetric at ({p}, {q})")
-                for r in range(n):
-                    if leq[q, r] and not leq[p, r]:
-                        fail(f"order not transitive at ({p}, {q}, {r})")
+    rows, cols = np.nonzero(defined)
+    leq[rows, table[rows, cols]] = True
+    bad = np.flatnonzero(~leq[every, every])
+    if len(bad):
+        fail(f"order not reflexive at {label(bad[0])}")
+    bad = np.flatnonzero(~leq[zero] | ~leq[:, one])
+    if len(bad):
+        fail(f"bounds fail at {label(bad[0])}")
+    bad = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+    if len(bad):
+        p, q = bad[0]
+        fail(f"order not antisymmetric at ({label(p)}, {label(q)})")
+    # Transitive: p <= q puts everything above q above p as well.
+    ps, qs = np.nonzero(leq)
+    bits = np.packbits(leq, axis=1)
+    for sl in _blocks(len(ps), bits.shape[1]):
+        bad = (bits[qs[sl]] & ~bits[ps[sl]]).any(axis=1)
+        if bad.any():
+            k = sl.start + int(bad.argmax())
+            p, q = ps[k], qs[k]
+            r = np.flatnonzero(leq[q] & ~leq[p])[0]
+            fail(f"order not transitive at ({label(p)}, {label(q)}, {label(r)})")
     # Cross-check: p <= q iff p is summable with the complement of q.
-    for p in range(n):
-        for q in range(n):
-            if leq[p, q] != ((p, ocomp[q]) in osum):
-                fail(f"order disagrees with the complement criterion at ({p}, {q})")
-    return leq
+    for sl in _blocks(n, n):
+        bad = np.argwhere((table[sl][:, ocomp] >= 0) != leq[sl])
+        if len(bad):
+            p, q = bad[0]
+            fail(
+                "order disagrees with the complement criterion at "
+                f"({label(sl.start + p)}, {label(q)})"
+            )
+    return ocomp, leq
 
 
 class Logic:
@@ -167,7 +263,7 @@ class Logic:
         self.classes: tuple[tuple[frozenset[str], ...], ...] = classes
         self.zero: int = zero
         self.one: int = one
-        self._osum: dict[tuple[int, int], int] = osum
+        self._table: np.ndarray = osum  # osum[p, q] = p + q, or -1 where undefined
         self._ocomp: tuple[int, ...] = ocomp
         self._leq = leq
         self._class_of = {m: i for i, grp in enumerate(classes) for m in grp}
@@ -190,10 +286,11 @@ class Logic:
             raise ValidationError(f"{sorted(m)} is not an event of this space") from None
 
     def osum_defined(self, p: int, q: int) -> bool:
-        return (p, q) in self._osum
+        return bool(self._table[p, q] >= 0)
 
     def osum_of(self, p: int, q: int) -> int | None:
-        return self._osum.get((p, q))
+        r = int(self._table[p, q])
+        return None if r < 0 else r
 
     def ocomp_of(self, p: int) -> int:
         return self._ocomp[p]
@@ -216,74 +313,96 @@ class Logic:
         greatest = lb[self._leq[np.ix_(lb, lb)].all(axis=0)]
         return int(greatest[0]) if len(greatest) == 1 else None
 
-    def sum_items(self):
-        return self._osum.items()
+    def sum_items(self) -> list[tuple[tuple[int, int], int]]:
+        """Every defined sum as ((p, q), p + q), in (p, q) order."""
+        ps, qs = np.nonzero(self._table >= 0)
+        return list(zip(zip(ps.tolist(), qs.tolist()), self._table[ps, qs].tolist()))
 
     def table_digest(self) -> str:
         """sha256 over the canonical serialization of the sum table."""
-        payload = ";".join(
-            f"{p},{q}->{r}" for (p, q), r in sorted(self._osum.items())
-        )
+        payload = ";".join(f"{p},{q}->{r}" for (p, q), r in self.sum_items())
         payload = f"n={len(self)};zero={self.zero};one={self.one};" + payload
         return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _disjoint_pairs(k: int):
+    """Masks (a, b) of every ordered pair of disjoint subsets of k positions."""
+    a = b = np.zeros(1, dtype=np.int64)
+    for bit in (1 << i for i in range(k)):
+        a, b = np.concatenate((a, a | bit, a)), np.concatenate((b, b, b | bit))
+    return a, b
+
+
+def _sum_table(n, test_classes):
+    """Dense sum table: class(A) + class(B) = class(A | B) for disjoint A, B in a test.
+
+    `test_classes[i][mask]` is the class of the sub-event of test i picked
+    by `mask`.  Raises AxiomViolationError when a sum depends on the
+    representatives chosen.
+    """
+    by_size = defaultdict(list)
+    for row in test_classes:
+        by_size[len(row)].append(row)
+    writes = []
+    for width, rows in by_size.items():
+        rows = np.array(rows)
+        a, b = _disjoint_pairs(width.bit_length() - 1)
+        writes.append((rows[:, a].ravel(), rows[:, b].ravel(), rows[:, a | b].ravel()))
+    i, j, t = (np.concatenate(x) for x in zip(*writes))
+    table = np.full((n, n), -1, dtype=np.int32)
+    table[i, j] = t
+    bad = table[i, j] != t
+    if bad.any():
+        lo, hi = np.minimum(i, j)[bad], np.maximum(i, j)[bad]
+        k = np.lexsort((hi, lo))[0]
+        p, q = int(lo[k]), int(hi[k])
+        targets = sorted(set(t[(i == p) & (j == q)].tolist()))
+        raise AxiomViolationError(
+            f"sum of classes {p}, {q} depends on representatives: targets {targets}"
+        )
+    return table
 
 
 def build_logic(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> Logic:
     """Construct the perspectivity-class logic of an algebraic space.
 
     Raises NotAlgebraicError (with a witnessing triple) if the space is not
-    algebraic.  The partial sum is computed over every orthogonal pair of
-    representatives and checked for representative independence, and the
+    algebraic, and CapExceededError if it has more than DENSE_TABLE_CAP
+    classes.  The partial sum is computed over every orthogonal pair of
+    events and checked for representative independence, and the
     orthoalgebra axioms plus order properties are verified exhaustively.
     """
-    ok, witness = is_algebraic(ts, cap)
-    if not ok:
-        raise NotAlgebraicError(witness)
-    events = enumerate_events(ts, cap)
-    comp = _complement_map(ts, events)
+    events, comp, fibre, by_test = _events_and_complements(ts, cap)
+    witness = _algebraic_witness(comp, fibre)
+    if witness is not None:
+        raise NotAlgebraicError(tuple(events[k] for k in witness))
 
     # On an algebraic space two events are perspective exactly when their
-    # complement sets coincide, so classes are the fibers of the complement map.
-    groups = defaultdict(list)
-    for e in events:
-        groups[comp[e.members]].append(e.members)
-    ordered = sorted(groups.values(), key=lambda ms: min(event_key(m) for m in ms))
-    classes = tuple(tuple(sorted(g, key=event_key)) for g in ordered)
-    class_of = {m: i for i, grp in enumerate(classes) for m in grp}
-    n = len(classes)
-    zero = class_of[frozenset()]
-    one = class_of[ts.tests[0]]
+    # complement sets coincide, so classes are the fibres of the complement
+    # map, numbered in order of their least member.
+    cls = np.array(fibre)
+    n = int(cls.max()) + 1
+    _check_table_size(n)
+    members: list[list[frozenset[str]]] = [[] for _ in range(n)]
+    for e, c in zip(events, fibre):
+        members[c].append(e.members)
+    classes = tuple(map(tuple, members))
+    zero = int(cls[0])  # the empty event comes first
+    one = int(cls[by_test[0][-1]])
 
-    osum: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(i, n):
-            targets = set()
-            for a in classes[i]:
-                for b in classes[j]:
-                    if a.isdisjoint(b):
-                        t = class_of.get(a | b)
-                        if t is not None:
-                            targets.add(t)
-            if targets:
-                if len(targets) > 1:
-                    raise AxiomViolationError(
-                        f"sum of classes {i}, {j} depends on representatives: "
-                        f"targets {sorted(targets)}"
-                    )
-                t = targets.pop()
-                osum[(i, j)] = t
-                osum[(j, i)] = t
-
-    ocomp = _verify_orthoalgebra(n, zero, one, osum, "logic construction")
+    test_classes = [cls[row] for row in by_test]
+    table = _sum_table(n, test_classes)
+    ocomp, leq = _verify_table(table, zero, one, "logic construction")
     # The orthocomplement must agree with the complement sets themselves.
-    for i, grp in enumerate(classes):
-        comp_classes = {class_of[c] for m in grp for c in comp[m]}
-        if comp_classes != {ocomp[i]}:
-            raise AxiomViolationError(
-                f"complements of class {i} scatter over {sorted(comp_classes)}"
-            )
-    leq = _order_matrix(n, zero, one, osum, ocomp, "logic construction")
-    return Logic(classes, zero, one, osum, tuple(ocomp), leq)
+    own = np.concatenate(test_classes)
+    other = np.concatenate([row[::-1] for row in test_classes])
+    bad = other != ocomp[own]
+    if bad.any():
+        i = own[bad].min()
+        raise AxiomViolationError(
+            f"complements of class {i} scatter over {sorted(set(other[own == i].tolist()))}"
+        )
+    return Logic(classes, zero, one, table, tuple(ocomp.tolist()), leq)
 
 
 def natural_order(logic: Logic, p: int, q: int) -> bool:
@@ -301,6 +420,36 @@ class Prop04Result:
         return self.orthocoherent == self.osum_is_join == self.omp
 
 
+# _LEADING[b]: position of the first set bit of byte b as packed by np.packbits.
+_LEADING = np.array([0] + [8 - b.bit_length() for b in range(1, 256)])
+
+
+class _Bounds:
+    """Least elements of the intersections of rows of an order matrix.
+
+    Row x of `rel` is the set of elements above x.  Columns are kept packed
+    eight to a byte and sorted by decreasing row size, so the candidate
+    least element of an intersection is its first member, and it is the
+    least element exactly when its own row contains the whole intersection.
+    """
+
+    def __init__(self, rel):
+        self.order = np.argsort(-rel.sum(axis=1), kind="stable")
+        self.bits = np.packbits(rel[:, self.order], axis=1)
+
+    def least(self, ps, qs):
+        """Least element of rel[p] & rel[q] for each pair, or -1 where none."""
+        out = np.empty(len(ps), dtype=np.int64)
+        for sl in _blocks(len(ps), self.bits.shape[1]):
+            common = self.bits[ps[sl]] & self.bits[qs[sl]]
+            byte = (common != 0).argmax(axis=1)
+            lead = common[np.arange(len(byte)), byte]
+            cand = self.order[8 * byte + _LEADING[lead]]
+            ok = (lead != 0) & ~(common & ~self.bits[cand]).any(axis=1)
+            out[sl] = np.where(ok, cand, -1)
+        return out
+
+
 def check_prop04(logic: Logic) -> Prop04Result:
     """Evaluate three classically equivalent properties, independently.
 
@@ -308,54 +457,40 @@ def check_prop04(logic: Logic) -> Prop04Result:
     osum_is_join: on summable pairs the sum is the least upper bound.
     omp: (L, <=, ') is an orthomodular poset, computed purely order-wise.
     """
-    n = len(logic)
-    osum = dict(logic.sum_items())
-
-    orthocoherent = True
-    for (p, q), pq in osum.items():
-        if p > q:
-            continue
-        for r in range(q, n):
-            if (p, r) in osum and (q, r) in osum and (pq, r) not in osum:
-                orthocoherent = False
-                break
-        if not orthocoherent:
-            break
-
-    osum_is_join = True
-    for (p, q), pq in osum.items():
-        if p > q:
-            continue
-        if logic.join(p, q) != pq:
-            osum_is_join = False
-            break
-
-    omp = _is_orthomodular_poset(logic)
+    table = logic._table
+    defined = table >= 0
+    ps, qs = np.nonzero(np.triu(defined))
+    pqs = table[ps, qs]
+    bits = np.packbits(defined, axis=1)
+    orthocoherent = not any(
+        (bits[ps[sl]] & bits[qs[sl]] & ~bits[pqs[sl]]).any()
+        for sl in _blocks(len(ps), bits.shape[1])
+    )
+    up = _Bounds(logic._leq)
+    osum_is_join = bool((up.least(ps, qs) == pqs).all())
+    omp = _is_orthomodular_poset(logic, up, _Bounds(logic._leq.T))
     return Prop04Result(orthocoherent, osum_is_join, omp)
 
 
-def _is_orthomodular_poset(logic: Logic) -> bool:
-    n = len(logic)
-    oc = [logic.ocomp_of(p) for p in range(n)]
-    for p in range(n):
-        if oc[oc[p]] != p:
-            return False
-        for q in range(n):
-            if logic.leq(p, q) and not logic.leq(oc[q], oc[p]):
-                return False
-    for p in range(n):
-        if logic.meet(p, oc[p]) != logic.zero or logic.join(p, oc[p]) != logic.one:
-            return False
-    # Orthogonal joins must exist, and the orthomodular identity must hold.
-    for p in range(n):
-        for q in range(n):
-            if logic.leq(p, oc[q]) and logic.join(p, q) is None:
-                return False
-            if logic.leq(p, q):
-                m = logic.meet(q, oc[p])
-                if m is None or logic.join(p, m) != q:
-                    return False
-    return True
+def _is_orthomodular_poset(logic: Logic, up: _Bounds, down: _Bounds) -> bool:
+    leq = logic._leq
+    oc = np.array(logic._ocomp)
+    every = np.arange(len(oc))
+    if (oc[oc] != every).any():
+        return False
+    # The complement reverses the order: p <= q gives q' <= p'.
+    if (leq & ~leq[np.ix_(oc, oc)].T).any():
+        return False
+    if (up.least(every, oc) != logic.one).any() or (down.least(every, oc) != logic.zero).any():
+        return False
+    # Orthogonal joins must exist, and the orthomodular identity must hold:
+    # p <= q gives p v (q ^ p') = q.
+    ps, qs = np.nonzero(leq[:, oc])
+    if (up.least(ps, qs) < 0).any():
+        return False
+    ps, qs = np.nonzero(leq)
+    ms = down.least(qs, oc[ps])
+    return bool((ms >= 0).all() and (up.least(ps, ms) == qs).all())
 
 
 class OrthoalgebraTable:
@@ -376,51 +511,51 @@ class OrthoalgebraTable:
                 raise ValidationError(f"unknown element {name!r}")
         if zero == one:
             raise ValidationError("degenerate table: zero equals one")
+        n = len(self.elements)
+        _check_table_size(n)
         self.zero = zero
         self.one = one
-        table: dict[tuple[int, int], int] = {}
+        table = np.full((n, n), -1, dtype=np.int32)
         for p, q, r in sums:
             for name in (p, q, r):
                 if name not in idx:
                     raise ValidationError(f"unknown element {name!r} in sum")
             a, b, c = idx[p], idx[q], idx[r]
-            for key in ((a, b), (b, a)):
-                if key in table and table[key] != c:
-                    raise AxiomViolationError(
-                        f"conflicting sums for pair ({p}, {q})"
-                    )
-                table[key] = c
+            if table[a, b] not in (-1, c):
+                raise AxiomViolationError(f"conflicting sums for pair ({p}, {q})")
+            table[a, b] = table[b, a] = c
         z = idx[zero]
-        for p in range(len(self.elements)):
-            for key in ((p, z), (z, p)):
-                if key in table and table[key] != p:
-                    raise AxiomViolationError(
-                        f"sum with zero must be the identity at {self.elements[p]!r}"
-                    )
-                table[key] = p
+        every = np.arange(n)
+        bad = np.flatnonzero((table[:, z] >= 0) & (table[:, z] != every))
+        if len(bad):
+            raise AxiomViolationError(
+                f"sum with zero must be the identity at {self.elements[bad[0]]!r}"
+            )
+        table[:, z] = table[z, :] = every
         self._idx = idx
         self._table = table
-        ocomp = _verify_orthoalgebra(
-            len(self.elements), z, idx[one], table, "orthoalgebra table",
-            names=self.elements,
+        ocomp, _ = _verify_table(
+            table, z, idx[one], "orthoalgebra table", names=self.elements
         )
-        self._ocomp = tuple(ocomp)
+        self._ocomp = tuple(ocomp.tolist())
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def osum_of(self, p: str, q: str) -> str | None:
-        r = self._table.get((self._idx[p], self._idx[q]))
-        return None if r is None else self.elements[r]
+        r = self._table[self._idx[p], self._idx[q]]
+        return None if r < 0 else self.elements[r]
 
     def ocomp_of(self, p: str) -> str:
         return self.elements[self._ocomp[self._idx[p]]]
 
     def sum_triples(self) -> list[tuple[str, str, str]]:
         els = self.elements
+        ps, qs = np.nonzero(self._table >= 0)
+        rs = self._table[ps, qs]
         return sorted(
-            (els[p], els[q], els[r]) for (p, q), r in self._table.items()
+            (els[p], els[q], els[r]) for p, q, r in zip(ps.tolist(), qs.tolist(), rs.tolist())
         )
 
 

@@ -84,6 +84,99 @@ def algebraic_oracle(ts):
     return True, None
 
 
+def sum_table_oracle(ts):
+    """Partial sum over the closure-oracle classes: {(i, j): k} from every
+    pair of disjoint events whose union is again an event."""
+    classes = perspectivity_classes(ts)
+    class_of = {m: i for i, g in enumerate(classes) for m in g}
+    events = brute_events(ts)
+    table = {}
+    for a in events:
+        for b in events:
+            if not (a & b) and (a | b) in events:
+                table[(class_of[a], class_of[b])] = class_of[a | b]
+    return table
+
+
+def _symmetric_sums(elements, zero, triples):
+    """{(p, q): r} from the triples, closed under symmetry and p + 0 = p;
+    None when two sums disagree."""
+    table = {}
+    for p, q, r in [*triples, *((p, zero, p) for p in elements)]:
+        for key in ((p, q), (q, p)):
+            if table.setdefault(key, r) != r:
+                return None
+    return table
+
+
+def orthoalgebra_oracle(elements, zero, one, triples):
+    """Do the sum triples define an orthoalgebra?  Literal axiom scan:
+    commutative by closure, zero the identity, only zero summable with
+    itself, associative with definedness, and one complement each."""
+    s = _symmetric_sums(elements, zero, triples)
+    if s is None:
+        return False
+    for p in elements:
+        if p != zero and (p, p) in s:
+            return False
+        if len([q for q in elements if s.get((p, q)) == one]) != 1:
+            return False
+    for p in elements:
+        for q in elements:
+            for r in elements:
+                qr, pq = s.get((q, r)), s.get((p, q))
+                left = None if qr is None else s.get((p, qr))
+                right = None if pq is None else s.get((pq, r))
+                if left != right:
+                    return False
+    return True
+
+
+def prop04_oracle(elements, zero, one, triples):
+    """(orthocoherent, osum_is_join, omp) of a sum table, by brute force.
+
+    The order is closed transitively from p <= p + q, and joins and meets
+    are found by scanning all upper and lower bounds.
+    """
+    s = _symmetric_sums(elements, zero, triples)
+    els = list(elements)
+    leq = {(p, r) for (p, _q), r in s.items()}
+    for q in els:
+        for p in els:
+            for r in els:
+                if (p, q) in leq and (q, r) in leq:
+                    leq.add((p, r))
+    oc = {p: next(q for q in els if s.get((p, q)) == one) for p in els}
+
+    def least(bounds, le):
+        found = [u for u in bounds if all(le(u, v) for v in bounds)]
+        return found[0] if len(found) == 1 else None
+
+    def join(p, q):
+        ups = [u for u in els if (p, u) in leq and (q, u) in leq]
+        return least(ups, lambda u, v: (u, v) in leq)
+
+    def meet(p, q):
+        downs = [d for d in els if (d, p) in leq and (d, q) in leq]
+        return least(downs, lambda u, v: (v, u) in leq)
+
+    orthocoherent = all(
+        (s[(p, q)], r) in s
+        for p, q in s
+        for r in els
+        if (p, r) in s and (q, r) in s
+    )
+    osum_is_join = all(join(p, q) == r for (p, q), r in s.items())
+    omp = (
+        all(oc[oc[p]] == p for p in els)
+        and all((oc[q], oc[p]) in leq for p, q in leq)
+        and all(meet(p, oc[p]) == zero and join(p, oc[p]) == one for p in els)
+        and all(join(p, q) is not None for p in els for q in els if (p, oc[q]) in leq)
+        and all(meet(q, oc[p]) is not None and join(p, meet(q, oc[p])) == q for p, q in leq)
+    )
+    return orthocoherent, osum_is_join, omp
+
+
 def df_states_oracle(ts):
     """Supports of all dispersion-free states, by scanning 2^|X| assignments."""
     outs = ts.outcomes

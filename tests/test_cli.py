@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from conftest import CORPUS_NAMES
 from testspaces import corpus
 from testspaces.cli import main
 from testspaces.core import ValidationError
-from testspaces.logic import boolean_oa
+from testspaces.logic import AxiomViolationError, boolean_oa, loads_oa
 from testspaces.metric import load_sample, sample_frames, save_sample
 
 MO2_DIGEST = "9a129d0256736bd8399387e0c2b5d3d316ca33a1f62b35cb5e23d1e50b1a7db8"
@@ -150,6 +151,15 @@ def test_logic_rejects_non_algebraic_space(capsys, tmp_path):
     assert "not algebraic" in err
 
 
+def test_logic_over_dense_table_cap_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "frames.tsp"
+    save_sample(sample_frames(3, 700, 0), str(path))  # 4202 classes
+    code, out, err = run(capsys, "logic", str(path))
+    assert code == 2
+    assert out == ""
+    assert "too many elements for a dense sum table (needed 4202, cap 4096)" in err
+
+
 # ---------------------------------------------------------------- states
 
 
@@ -206,6 +216,25 @@ def test_oa_rejects_broken_table(capsys, tmp_path):
     assert "complements" in err
 
 
+@pytest.mark.parametrize("sums, message", [
+    ("sum a b c\nsum a c 1", "association mismatch at (a, a, b)"),
+    ("", "element a has 0 complements"),
+    ("sum a b 1\nsum a c 1", "element a has 2 complements"),
+    ("sum a a 1\nsum b c 1", "element a summable with itself"),
+    ("sum a b 1\nsum 0 a b", "sum with zero must be the identity at 'a'"),
+])
+def test_oa_rejects_each_axiom_failure(capsys, tmp_path, sums, message):
+    text = f"elements 0 a b c 1\nzero 0\none 1\n{sums}\n"
+    with pytest.raises(AxiomViolationError, match=re.escape(message)):
+        loads_oa(text)
+    path = tmp_path / "bad.oa"
+    path.write_text(text)
+    code, out, err = run(capsys, "oa", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------- metric
 
 
@@ -225,6 +254,22 @@ def test_metric_check_battery_ok(capsys, tmp_path):
     rows = machine_rows(out)
     assert set(rows.values()) == {"ok"}
     assert "in-test-orthogonality" in rows
+
+
+def test_space_from_stdin_needs_coords(capsys, tmp_path, monkeypatch):
+    path = frames_file(capsys, tmp_path)
+    text = Path(path).read_text()
+    for argv in (["metric", "check", "-"], ["extract", "-", "--basis", "auto:2"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "a space read from stdin needs --coords" in err
+    coords = str(tmp_path / "frames.coords")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "--format", "machine", "metric", "check", "-", "--coords", coords)
+    assert code == 0
+    assert set(machine_rows(out).values()) == {"ok"}
 
 
 def test_metric_check_flags_corruption(capsys, tmp_path):

@@ -1,16 +1,27 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from unittest import mock
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import testspaces.logic as logic_module
 from testspaces import corpus
-from testspaces.core import ParseError, TestSpace, ValidationError, load_test_space
+from testspaces.core import (
+    DENSE_TABLE_CAP,
+    CapExceededError,
+    ParseError,
+    TestSpace,
+    ValidationError,
+    load_test_space,
+)
 from testspaces.logic import (
     AxiomViolationError,
     NotAlgebraicError,
+    OrthoalgebraTable,
     boolean_oa,
     build_logic,
     check_prop04,
@@ -24,7 +35,18 @@ from testspaces.logic import (
     roundtrip_logic,
 )
 
-from oracles import algebraic_oracle, oa_isomorphic, perspectivity_classes
+from testspaces.metric import sample_frames
+
+from oracles import (
+    algebraic_oracle,
+    complementary_oracle,
+    oa_isomorphic,
+    orthoalgebra_oracle,
+    perspective_oracle,
+    perspectivity_classes,
+    prop04_oracle,
+    sum_table_oracle,
+)
 
 # Class counts frozen after agreeing with the union-find closure oracle.
 # "stateless" is deliberately absent: it is not algebraic, so it carries
@@ -161,33 +183,66 @@ def test_table_digest_is_stable_and_discriminating(spaces):
     assert len(d1) == 64
 
 
+def assert_witness_is_oracles(ts):
+    ok, witness = is_algebraic(ts)
+    oracle_ok, oracle_witness = algebraic_oracle(ts)
+    assert ok == oracle_ok
+    if not ok:
+        a, b, c = (e.members for e in witness)
+        # the witness must violate the defining implication, and be the
+        # oracle's first triple in its own scan order
+        assert perspective_oracle(ts, a, b)
+        assert complementary_oracle(ts, b, c)
+        assert not complementary_oracle(ts, a, c)
+        assert (a, b, c) == oracle_witness
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=20_000))
 def test_random_spaces_algebraicity_agrees_with_oracle(seed):
-    ts = random_space(seed)
-    ok, witness = is_algebraic(ts)
-    oracle_ok, _ = algebraic_oracle(ts)
-    assert ok == oracle_ok
-    if not ok:
-        a, b, c = witness
-        # the witness must actually violate the defining implication
-        from oracles import complementary_oracle, perspective_oracle
+    assert_witness_is_oracles(random_space(seed))
 
-        assert perspective_oracle(ts, a.members, b.members)
-        assert complementary_oracle(ts, b.members, c.members)
-        assert not complementary_oracle(ts, a.members, c.members)
+
+def test_named_non_algebraic_witnesses_match_oracle(spaces):
+    for ts in (PATH5, spaces["stateless"]):
+        assert_witness_is_oracles(ts)
+
+
+def logic_prop04_oracle(logic):
+    return prop04_oracle(range(len(logic)), logic.zero, logic.one,
+                         [(p, q, r) for (p, q), r in logic.sum_items()])
+
+
+# Vectorised sweeps run in blocks of _BLOCK elements; a block of 3 makes
+# every block boundary show up on these small inputs.
+BLOCKS = st.sampled_from([3, logic_module._BLOCK])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=20_000))
-def test_random_algebraic_spaces_match_closure_oracle(seed):
+@given(st.integers(min_value=0, max_value=20_000), BLOCKS)
+def test_random_algebraic_spaces_match_closure_oracle(seed, block):
     ts = random_space(seed)
     if not is_algebraic(ts)[0]:
         return
-    logic = build_logic(ts)
+    with mock.patch.object(logic_module, "_BLOCK", block):
+        logic = build_logic(ts)
+        flags = check_prop04(logic)
     assert sorted(map(frozenset, logic.classes)) == sorted(perspectivity_classes(ts))
-    flags = check_prop04(logic)
+    assert dict(logic.sum_items()) == sum_table_oracle(ts)
     assert flags.all_equal()
+    assert (flags.orthocoherent, flags.osum_is_join, flags.omp) == logic_prop04_oracle(logic)
+
+
+def test_prop04_matches_oracle_on_corpus_and_tables(spaces):
+    for name, expected in PROP04_FLAGS.items():
+        logic = build_logic(spaces[name])
+        flags = check_prop04(logic)
+        got = (flags.orthocoherent, flags.osum_is_join, flags.omp)
+        assert got == logic_prop04_oracle(logic) == (expected,) * 3, name
+    for oa in (boolean_oa(3), mo2_oa()):
+        flags = check_prop04(build_logic(oa_to_test_space(oa)))
+        got = (flags.orthocoherent, flags.osum_is_join, flags.omp)
+        assert got == prop04_oracle(oa.elements, oa.zero, oa.one, oa.sum_triples())
 
 
 # ------------------------------------------------------------ sum tables
@@ -294,3 +349,54 @@ def test_corpus_logics_roundtrip(spaces):
     for name in LOGIC_SIZES:
         oa = logic_to_oa(build_logic(spaces[name]))
         assert roundtrip_logic(oa) is not None, name
+
+
+TABLE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["drop", "retarget", "add"]),
+              st.integers(0, 63), st.integers(0, 63), st.integers(0, 63)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(["boolean-3", "mo2"]), edits=TABLE_EDITS)
+def test_table_verification_matches_axiom_oracle(base, edits):
+    oa = boolean_oa(3) if base == "boolean-3" else mo2_oa()
+    els = oa.elements
+    sums = [t for t in oa.sum_triples() if oa.zero not in t[:2] and t[0] <= t[1]]
+    for kind, i, j, k in edits:
+        if kind == "drop" and sums:
+            sums.pop(i % len(sums))
+        elif kind == "retarget" and sums:
+            p, q, _ = sums[i % len(sums)]
+            sums[i % len(sums)] = (p, q, els[k % len(els)])
+        elif kind == "add":
+            sums.append((els[i % len(els)], els[j % len(els)], els[k % len(els)]))
+    # The first violation reported must not depend on the block size.
+    verdicts = set()
+    for block in (3, logic_module._BLOCK):
+        try:
+            with mock.patch.object(logic_module, "_BLOCK", block):
+                OrthoalgebraTable(els, oa.zero, oa.one, sums)
+            verdicts.add(None)
+        except AxiomViolationError as exc:
+            verdicts.add(str(exc))
+    assert len(verdicts) == 1
+    assert (verdicts == {None}) == orthoalgebra_oracle(els, oa.zero, oa.one, sums)
+
+
+def test_dense_table_cap_is_checked_before_allocating():
+    ts = sample_frames(3, 700, 0).to_test_space()  # 2 + 6 * 700 classes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as exc:
+            build_logic(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.needed == 2 + 6 * 700
+    assert exc.value.cap == DENSE_TABLE_CAP
+    assert peak < exc.value.needed ** 2  # a quarter of the int32 table
+    els = [f"e{i}" for i in range(DENSE_TABLE_CAP + 1)]
+    with pytest.raises(CapExceededError):
+        OrthoalgebraTable(els, els[0], els[1], [])
