@@ -23,13 +23,12 @@ from .core import (
     ParseError,
     TestSpace,
     TspError,
-    enumerate_events,
     load_test_space,
 )
 from .logic import (
+    _events_and_witness,
     build_logic,
     check_prop04,
-    is_algebraic,
     loads_oa,
     oa_to_test_space,
     roundtrip_logic,
@@ -107,17 +106,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_info(args) -> int:
     ts = _load_space(args.file)
+    # Over the cap this raises CapExceededError: exit 2, nothing on stdout.
+    events, witness = _events_and_witness(ts, args.cap)
+    algebraic = witness is None
     rows = [
         ("outcomes", len(ts.outcomes)),
         ("tests", len(ts.tests)),
         ("rank", ts.rank),
+        ("events", len(events)),
+        ("algebraic", algebraic),
     ]
-    try:
-        rows.append(("events", len(enumerate_events(ts, cap=args.cap))))
-    except CapExceededError:
-        rows.append(("events", "over_cap"))
-    algebraic, witness = is_algebraic(ts, cap=args.cap)
-    rows.append(("algebraic", algebraic))
     if not algebraic:
         a, b, c = witness
         rows.append(("witness", "|".join(

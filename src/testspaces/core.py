@@ -124,6 +124,20 @@ class TestSpace:
     def test_set(self) -> frozenset[frozenset[str]]:
         return frozenset(self.tests)
 
+    @cached_property
+    def _state_solution(self):
+        """The exact state-or-certificate solve of `states`, done once per instance."""
+        from .states import _solve_states
+
+        return _solve_states(self)
+
+    @cached_property
+    def _df_components(self):
+        """The dispersion-free states of each component, searched once per instance."""
+        from .states import _search_components
+
+        return _search_components(self)
+
     @property
     def rank(self) -> int:
         return max(len(t) for t in self.tests)
@@ -182,6 +196,34 @@ def orthogonal(ts: TestSpace, x: str, y: str) -> bool:
         ts.containing(x)  # still validate the id
         return False
     return bool(ts.containing(x) & ts.containing(y))
+
+
+def components(ts: TestSpace) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The connected components: tests joined whenever they share an outcome.
+
+    Each component is (outcome indices, test indices), both ascending, and
+    the components come in the order of their first tests.
+    """
+    parent = list(range(len(ts.tests)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first: dict[str, int] = {}
+    for i, test in enumerate(ts.tests):
+        for x in test:
+            a, b = find(first.setdefault(x, i)), find(i)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for i in range(len(ts.tests)):
+        groups.setdefault(find(i), ([], []))[1].append(i)
+    for k, x in enumerate(ts.outcomes):
+        groups[find(first[x])][0].append(k)
+    return [(tuple(outs), tuple(tests)) for outs, tests in groups.values()]
 
 
 def enumerate_events(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> list[Event]:

@@ -123,6 +123,15 @@ def _algebraic_witness(comp, fibre):
     raise AssertionError("mixed complement without a failing pair")
 
 
+def _events_and_witness(ts: TestSpace, cap: int):
+    """The events and is_algebraic's witness (None when algebraic), from one enumeration."""
+    events, comp, fibre, _ = _events_and_complements(ts, cap)
+    witness = _algebraic_witness(comp, fibre)
+    if witness is None:
+        return events, None
+    return events, tuple(events[k] for k in witness)
+
+
 def is_algebraic(
     ts: TestSpace, cap: int = DEFAULT_EVENT_CAP
 ) -> tuple[bool, tuple[Event, Event, Event] | None]:
@@ -131,11 +140,8 @@ def is_algebraic(
     The witness satisfies: A perspective to B, B complementary to C, but A
     not complementary to C.
     """
-    events, comp, fibre, _ = _events_and_complements(ts, cap)
-    witness = _algebraic_witness(comp, fibre)
-    if witness is None:
-        return True, None
-    return False, tuple(events[k] for k in witness)
+    _events, witness = _events_and_witness(ts, cap)
+    return witness is None, witness
 
 
 def _check_table_size(n: int) -> None:

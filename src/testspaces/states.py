@@ -3,7 +3,8 @@
 Exact rational states are found (or refuted, with a checkable certificate)
 by a phase-one simplex over Fractions.  Dispersion-free states are the 0/1
 weights; a space is unital/dispersion-free-complete when every outcome gets
-weight 1 under some such state.  Density matrices induce float states on
+weight 1 under some such state.  Both are solved once per connected
+component of the space and kept on the TestSpace instance.  Density matrices induce float states on
 metrically sampled spaces through the quadratic form x -> <Wx, x>.
 """
 
@@ -23,6 +24,7 @@ from .core import (
     TestSpace,
     UnknownOutcomeError,
     ValidationError,
+    components,
     member_set,
 )
 
@@ -32,6 +34,8 @@ DEFAULT_DF_CAP = 24  # outcome-count bound for dispersion-free search
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_TOL = 1e-12
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -91,27 +95,35 @@ def extend_to_event(state: State, event: EventLike):
     return sum((state[x] for x in sorted(members)), zero)
 
 
-def _phase1_simplex(ts: TestSpace):
-    """Exact phase-one simplex for {w >= 0, per-test sums = 1}.
+def _phase1_simplex(n: int, tests: Sequence[Sequence[int]]):
+    """Exact phase-one simplex for {w >= 0, per-test sums = 1} on one component.
 
-    Returns (state_values, None) when feasible, else (None, certificate) where
-    the certificate y maps test index -> Fraction and satisfies
-    sum(y over tests containing x) <= 0 for every outcome x while
-    sum(y) > 0, which refutes feasibility over exact arithmetic.
+    The columns are the n outcome variables, then one artificial per test;
+    row i holds test i, given as its outcome columns.  Pivots follow
+    Bland's rule and touch only the nonzero columns of the pivot row.
+    Returns (values, duals): the n outcome values when the phase-one
+    optimum is zero (else None), and per test its phase-one dual
+    y_i = 1 - (reduced cost of its artificial).  On an infeasible component
+    y satisfies sum(y over tests containing x) <= 0 for every outcome x
+    while sum(y) > 0, which refutes feasibility over exact arithmetic.
     """
-    outs = ts.outcomes
-    n, m = len(outs), len(ts.tests)
-    F0, F1 = Fraction(0), Fraction(1)
-    cols = n + m  # outcome variables, then one artificial per test
+    m = len(tests)
+    cols = n + m  # the right-hand side sits in column `cols`
     rows = []
-    for i, test in enumerate(ts.tests):
-        row = [F1 if outs[j] in test else F0 for j in range(n)]
-        row.extend(F1 if k == i else F0 for k in range(m))
-        row.append(F1)  # right-hand side
+    for i, test in enumerate(tests):
+        row = [_ZERO] * (cols + 1)
+        for j in test:
+            row[j] = _ONE
+        row[n + i] = row[cols] = _ONE
         rows.append(row)
-    cost = [F0] * n + [F1] * m
     basis = list(range(n, cols))
-    obj = [cost[j] - sum(rows[i][j] for i in range(m)) for j in range(cols)]
+    # Phase-one reduced costs (1 on artificials minus the column sums); the
+    # last entry is minus the objective value, the sum of the artificials.
+    obj = [_ZERO] * (cols + 1)
+    for test in tests:
+        for j in test:
+            obj[j] -= 1
+    obj[cols] = Fraction(-m)
 
     while True:
         # Bland's rule: lowest-index negative reduced cost; anti-cycling.
@@ -122,38 +134,66 @@ def _phase1_simplex(ts: TestSpace):
         for i in range(m):
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][-1] / a
-                key = (ratio, basis[i])
+                key = (rows[i][cols] / a, basis[i])
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:  # cannot happen: phase-one objective is bounded
             raise AssertionError("unbounded phase-one simplex")
         r = best[1]
-        piv = rows[r][enter]
-        rows[r] = [v / piv for v in rows[r]]
+        pivot_row = rows[r]
+        piv = pivot_row[enter]
+        nonzero = [j for j in range(cols + 1) if pivot_row[j]]
+        for j in nonzero:
+            pivot_row[j] /= piv
         for i in range(m):
-            if i != r and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [v - f * w for v, w in zip(obj, rows[r][:-1])]
-            # note: objective value tracked separately below
+            f = rows[i][enter]
+            if i != r and f:
+                row = rows[i]
+                for j in nonzero:
+                    row[j] -= f * pivot_row[j]
+        f = obj[enter]
+        for j in nonzero:
+            obj[j] -= f * pivot_row[j]
         basis[r] = enter
 
-    value = sum(cost[basis[i]] * rows[i][-1] for i in range(m))
-    if value == 0:
-        x = [F0] * cols
-        for i in range(m):
-            x[basis[i]] = rows[i][-1]
-        return {outs[j]: x[j] for j in range(n)}, None
-    cert = {i: F1 - obj[n + i] for i in range(m)}
-    return None, cert
+    duals = [_ONE - obj[n + i] for i in range(m)]
+    if obj[cols]:
+        return None, duals
+    x = [_ZERO] * cols
+    for i in range(m):
+        x[basis[i]] = rows[i][cols]
+    return x[:n], duals
+
+
+def _solve_states(ts: TestSpace):
+    """(state values, None) or (None, certificate), one simplex per component.
+
+    The tableau of the whole space is block-diagonal over its components,
+    and each component's columns keep their relative order, so Bland's rule
+    makes the same pivots as on the whole space.  The certificate holds
+    every component's duals, feasible components included.
+    """
+    outs = ts.outcomes
+    values: dict[str, Fraction] = {}
+    duals: dict[int, Fraction] = {}
+    feasible = True
+    for out_idx, test_idx in components(ts):
+        column = {outs[k]: j for j, k in enumerate(out_idx)}
+        tests = [[column[x] for x in ts.tests[i]] for i in test_idx]
+        x, y = _phase1_simplex(len(out_idx), tests)
+        if x is None:
+            feasible = False
+        else:
+            values.update(zip((outs[k] for k in out_idx), x))
+        duals.update(zip(test_idx, y))
+    if feasible:
+        return {x: values[x] for x in outs}, None
+    return None, {i: duals[i] for i in range(len(ts.tests))}
 
 
 def find_state(ts: TestSpace) -> State | None:
     """An exact rational state, or None when none exists."""
-    values, _cert = _phase1_simplex(ts)
+    values, _cert = ts._state_solution
     if values is None:
         return None
     state = State.exact(values)
@@ -165,8 +205,11 @@ def find_state(ts: TestSpace) -> State | None:
 
 def infeasibility_certificate(ts: TestSpace) -> dict[int, Fraction] | None:
     """The refutation certificate when no state exists, else None."""
-    _values, cert = _phase1_simplex(ts)
-    if cert is not None and not check_certificate(ts, cert):
+    _values, cert = ts._state_solution
+    if cert is None:
+        return None
+    cert = dict(cert)
+    if not check_certificate(ts, cert):
         raise AssertionError("solver produced an invalid certificate")
     return cert
 
@@ -180,20 +223,15 @@ def check_certificate(ts: TestSpace, cert: Mapping[int, Fraction]) -> bool:
     return sum(y) > 0
 
 
-def dispersion_free_states(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> list[State]:
-    """All 0/1 states: exactly one outcome of weight one per test.
+def _df_masks(tests: Sequence[tuple[str, ...]], bit: Mapping[str, int]) -> list[int]:
+    """The 0/1 states of one component, each as the sum of its ones' bits.
 
-    Backtracking over tests, always branching on the currently most
-    constrained test; deterministic output order (sorted value tuples).
+    Backtracking over the tests, always branching on the currently most
+    constrained test.
     """
-    if len(ts.outcomes) > cap:
-        raise CapExceededError(
-            "dispersion-free search over too many outcomes", len(ts.outcomes), cap
-        )
-    tests = [tuple(sorted(t)) for t in ts.tests]
-    value: dict[str, int | None] = {x: None for x in ts.outcomes}
+    value: dict[str, int | None] = {x: None for x in bit}
     undecided = set(range(len(tests)))
-    solutions: list[dict[str, int]] = []
+    masks: list[int] = []
 
     def candidates(i: int) -> list[str]:
         out = []
@@ -207,7 +245,7 @@ def dispersion_free_states(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> list[Sta
 
     def recurse():
         if not undecided:
-            solutions.append({x: value[x] for x in ts.outcomes})
+            masks.append(sum(b for x, b in bit.items() if value[x]))
             return
         i = min(undecided, key=lambda t: (len(candidates(t)), t))
         undecided.discard(i)
@@ -224,20 +262,63 @@ def dispersion_free_states(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> list[Sta
         undecided.add(i)
 
     recurse()
-    solutions.sort(key=lambda sol: tuple(sol[x] for x in ts.outcomes))
-    return [State.exact(sol) for sol in solutions]
+    return masks
+
+
+def _search_components(ts: TestSpace) -> list[list[int]]:
+    """Per component, the bitmasks of its 0/1 states.
+
+    Outcome k of the space owns bit n-1-k, so comparing the sums of one
+    mask per component compares the value tuples over `ts.outcomes`.
+    """
+    n = len(ts.outcomes)
+    per_component = []
+    for out_idx, test_idx in components(ts):
+        bit = {ts.outcomes[k]: 1 << (n - 1 - k) for k in out_idx}
+        tests = [tuple(sorted(ts.tests[i])) for i in test_idx]
+        per_component.append(_df_masks(tests, bit))
+    return per_component
+
+
+def _check_df_cap(ts: TestSpace, cap: int) -> None:
+    if len(ts.outcomes) > cap:
+        raise CapExceededError(
+            "dispersion-free search over too many outcomes", len(ts.outcomes), cap
+        )
+
+
+def dispersion_free_states(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> list[State]:
+    """All 0/1 states: exactly one outcome of weight one per test.
+
+    The product of the per-component states, in a deterministic order
+    (sorted value tuples over `ts.outcomes`).  `cap` bounds the outcome
+    count of the whole space.
+    """
+    _check_df_cap(ts, cap)
+    n = len(ts.outcomes)
+    weight = {"0": _ZERO, "1": _ONE}
+    return [
+        State({x: weight[b] for x, b in zip(ts.outcomes, format(mask, f"0{n}b"))}, "exact")
+        for mask in sorted(map(sum, itertools.product(*ts._df_components)))
+    ]
 
 
 def is_udf(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> tuple[bool, str | None]:
     """Is every outcome assigned weight one by some dispersion-free state?
 
-    Returns (True, None) or (False, first uncovered outcome).
+    Returns (True, None) or (False, first uncovered outcome).  A component
+    without 0/1 states leaves the space with none, so nothing is covered.
     """
-    hit: set[str] = set()
-    for st in dispersion_free_states(ts, cap):
-        hit.update(x for x in ts.outcomes if st[x] == 1)
-    for x in ts.outcomes:
-        if x not in hit:
+    _check_df_cap(ts, cap)
+    per_component = ts._df_components
+    hit = 0
+    if all(per_component):
+        for masks in per_component:
+            for mask in masks:
+                hit |= mask
+    n = len(ts.outcomes)
+    for k, x in enumerate(ts.outcomes):
+        if not hit >> (n - 1 - k) & 1:
             return False, x
     return True, None
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import CORPUS_NAMES
-from testspaces import corpus
+from testspaces import cli, core, corpus, logic
 from testspaces.cli import main
 from testspaces.core import ValidationError
 from testspaces.logic import AxiomViolationError, boolean_oa, loads_oa
@@ -19,6 +19,14 @@ from testspaces.metric import load_sample, sample_frames, save_sample
 MO2_DIGEST = "9a129d0256736bd8399387e0c2b5d3d316ca33a1f62b35cb5e23d1e50b1a7db8"
 
 PATH5 = "outcomes a b c d e\ntest a b\ntest b c\ntest c d\ntest d e\n"
+
+# `stateless` (u1..u6 -> b d f h j l) beside `triangle` (a b c x y z ->
+# a c e g i k): two components with interleaved ids and shuffled tests.
+STATELESS_AND_TRIANGLE = (
+    "outcomes a b c d e f g h i j k l\n"
+    "test b d\ntest a g c\ntest f h\ntest c i e\n"
+    "test j l\ntest b f j\ntest e k a\ntest d h l\n"
+)
 
 
 def run(capsys, *argv):
@@ -109,6 +117,27 @@ def test_info_non_algebraic_witness_and_strict(capsys, tmp_path):
     assert rows["witness"] == "a|c|d"
     code, _, _ = run(capsys, "--strict", "info", str(path))
     assert code == 1
+
+
+def test_info_enumerates_events_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(ts, cap=core.DEFAULT_EVENT_CAP):
+        calls.append(cap)
+        return core.enumerate_events(ts, cap)
+
+    for module in (cli, logic):
+        if hasattr(module, "enumerate_events"):
+            monkeypatch.setattr(module, "enumerate_events", counting)
+    code, out, _ = run(capsys, "info", space_file(tmp_path, "triangle"))
+    assert code == 0 and "events: 19" in out
+    assert len(calls) == 1
+
+
+def test_info_over_the_event_cap_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "info", "--cap", "4", space_file(tmp_path, "classical-3"))
+    assert (code, out) == (2, "")
+    assert err == "error: event enumeration too large (needed 8, cap 4)\n"
 
 
 def test_info_reads_stdin(capsys, monkeypatch):
@@ -449,6 +478,7 @@ GOLDEN = {
     "info stateless": "0 9ea9f04b1e0e8bb04a266ff72a5fa748224695c30ae8922dbade4098873bafc5",
     "logic stateless": "2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "states stateless": "0 03ee8cff30216000640650972ab18efbff66d13486ed34cb9ce75fc6dcfd59ec",
+    "states stateless+triangle": "0 d7ea4ff53490608641a20001e7609465dd474503616b20cf86b2f05c72a1241d",
     "oa bool3": "0 954f33bbb2aed6c05fa3761173fd482dc53cd8e8fe63430cc8303f71c7493021",
     "sample-frames": "0 1a4909c947545e9ae58731fe57497dff84b6634f9eb4b203553ed3c13d8d26ab",
     "metric check": "0 05c0adc8a4392f25d9de8d415993420569faa25de199715b52aeccb3caa971cd",
@@ -478,6 +508,8 @@ def golden_outputs(capsys, tmp_path, monkeypatch) -> dict[str, str]:
         record(f"info {name}", "info", f"{name}.tsp")
         record(f"logic {name}", "logic", f"{name}.tsp")
         record(f"states {name}", "states", "--dispersion-free", f"{name}.tsp")
+    Path("split.tsp").write_text(STATELESS_AND_TRIANGLE)
+    record("states stateless+triangle", "states", "--dispersion-free", "split.tsp")
     Path("bool3.oa").write_text(oa_file_text(boolean_oa(3)))
     record("oa bool3", "oa", "--roundtrip", "bool3.oa")
     record("sample-frames", "sample-frames", "-n", "200", "--seed", "0", "-o", "s.tsp")

@@ -16,6 +16,7 @@ from testspaces.core import (
     _lines,
     as_event,
     complementary,
+    components,
     dump_test_space,
     enumerate_events,
     event_key,
@@ -221,6 +222,36 @@ def test_random_space_events_match_oracle(ts):
     assert {e.members for e in events} == brute_events(ts)
     for e in events:
         assert any(e.members <= t for t in ts.tests)
+
+
+def test_components_of_corpus_and_interleaved_spaces(spaces):
+    assert components(spaces["stateless"]) == [((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4))]
+    assert components(spaces["two-disjoint"]) == [((0, 1), (0,)), ((2, 3), (1,))]
+    ts = load_test_space("outcomes a b c d e\ntest b d\ntest a c\ntest e c\n")
+    assert components(ts) == [((1, 3), (0,)), ((0, 2, 4), (1, 2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(spaces_strategy(), min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_components_match_closure_of_shared_outcomes(draws, rnd):
+    tests = [frozenset(f"{k}.{x}" for x in t) for k, ts in enumerate(draws) for t in ts.tests]
+    rnd.shuffle(tests)
+    ts = TestSpace.build(set().union(*tests), tests)
+    # Grow each test's group until no test outside it shares an outcome.
+    expected = []
+    for i in range(len(ts.tests)):
+        if any(i in group for group in expected):
+            continue
+        group, outs = {i}, set(ts.tests[i])
+        while grow := {j for j, t in enumerate(ts.tests) if j not in group and t & outs}:
+            group |= grow
+            outs.update(*(ts.tests[j] for j in grow))
+        expected.append(group)
+    got = components(ts)
+    assert [set(t) for _o, t in got] == expected
+    for out_idx, test_idx in got:
+        assert list(out_idx) == sorted(out_idx) and list(test_idx) == sorted(test_idx)
+        assert {ts.outcomes[k] for k in out_idx} == set().union(*(ts.tests[i] for i in test_idx))
 
 
 @settings(max_examples=60, deadline=None)

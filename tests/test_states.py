@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testspaces import corpus
-from testspaces.core import ValidationError
+from testspaces import corpus, states as states_module
+from testspaces.core import CapExceededError, TestSpace, ValidationError, load_test_space
 from testspaces.metric import sample_frames
 from testspaces.states import (
+    DEFAULT_DF_CAP,
     DensityMatrix,
     State,
     UnknownOutcomeError,
@@ -246,3 +247,170 @@ def test_dispersion_free_states_match_exhaustive_scan(seed):
     ts = corpus.random_test_space(random.Random(seed))
     got = sorted(sorted(support(s)) for s in dispersion_free_states(ts))
     assert got == [sorted(e) for e in df_states_oracle(ts)]
+
+
+# ------------------------------------------- reference: whole-space solvers
+
+# The exact simplex and the 0/1 search as they ran on the whole space before
+# states were solved per component, frozen here as the reference the
+# per-component results must equal.
+
+
+def reference_phase1_simplex(ts):
+    outs = ts.outcomes
+    n, m = len(outs), len(ts.tests)
+    F0, F1 = Fraction(0), Fraction(1)
+    cols = n + m
+    rows = []
+    for i, test in enumerate(ts.tests):
+        row = [F1 if outs[j] in test else F0 for j in range(n)]
+        row.extend(F1 if k == i else F0 for k in range(m))
+        row.append(F1)
+        rows.append(row)
+    cost = [F0] * n + [F1] * m
+    basis = list(range(n, cols))
+    obj = [cost[j] - sum(rows[i][j] for i in range(m)) for j in range(cols)]
+    while True:
+        enter = next((j for j in range(cols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                key = (rows[i][-1] / a, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        r = best[1]
+        piv = rows[r][enter]
+        rows[r] = [v / piv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [v - f * w for v, w in zip(obj, rows[r][:-1])]
+        basis[r] = enter
+    value = sum(cost[basis[i]] * rows[i][-1] for i in range(m))
+    if value == 0:
+        x = [F0] * cols
+        for i in range(m):
+            x[basis[i]] = rows[i][-1]
+        return {outs[j]: x[j] for j in range(n)}, None
+    return None, {i: F1 - obj[n + i] for i in range(m)}
+
+
+def reference_df_states(ts):
+    tests = [tuple(sorted(t)) for t in ts.tests]
+    value = {x: None for x in ts.outcomes}
+    undecided = set(range(len(tests)))
+    solutions = []
+
+    def candidates(i):
+        return [
+            x for x in tests[i]
+            if value[x] != 0 and not any(value[y] == 1 for y in tests[i] if y != x)
+        ]
+
+    def recurse():
+        if not undecided:
+            solutions.append({x: value[x] for x in ts.outcomes})
+            return
+        i = min(undecided, key=lambda t: (len(candidates(t)), t))
+        undecided.discard(i)
+        for x in candidates(i):
+            changed = []
+            for y in tests[i]:
+                if value[y] is None:
+                    value[y] = 1 if y == x else 0
+                    changed.append(y)
+            recurse()
+            for y in changed:
+                value[y] = None
+        undecided.add(i)
+
+    recurse()
+    solutions.sort(key=lambda sol: tuple(sol[x] for x in ts.outcomes))
+    return solutions
+
+
+def reference_is_udf(ts, solutions):
+    hit = {x for sol in solutions for x in ts.outcomes if sol[x] == 1}
+    return next(((False, x) for x in ts.outcomes if x not in hit), (True, None))
+
+
+def disjoint_union(draws, rnd):
+    """The draws side by side, ids renamed so they interleave, tests shuffled."""
+    total = sum(len(ts.outcomes) for ts in draws)
+    ids = iter(f"x{k:02d}" for k in rnd.sample(range(total), total))
+    tests = []
+    for ts in draws:
+        rename = {x: next(ids) for x in ts.outcomes}
+        tests += [frozenset(rename[x] for x in t) for t in ts.tests]
+    rnd.shuffle(tests)
+    return TestSpace.build(set().union(*tests), tests)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=30_000), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+def test_per_component_solve_equals_whole_space_reference(seeds, rnd):
+    draws = [
+        corpus.random_test_space(random.Random(s), max_universe=6, max_tests=6) for s in seeds
+    ]
+    ts = disjoint_union(draws, rnd)
+    assert len(ts.outcomes) <= DEFAULT_DF_CAP
+    values, cert = reference_phase1_simplex(ts)
+    state = find_state(ts)
+    assert (None if state is None else dict(state.values)) == values
+    assert infeasibility_certificate(ts) == cert
+    solutions = reference_df_states(ts)
+    assert [dict(s.values) for s in dispersion_free_states(ts)] == solutions
+    assert is_udf(ts) == reference_is_udf(ts, solutions)
+
+
+# ------------------------------------------------------------------ memo
+
+
+def test_certificate_copy_does_not_leak_into_the_memo():
+    ts = load_test_space(corpus.gen("stateless"))
+    cert = infeasibility_certificate(ts)
+    cert[0] = F(-7)
+    del cert[1]
+    assert infeasibility_certificate(ts) == STATELESS_CERT
+
+
+def test_equal_spaces_each_run_their_own_solve(monkeypatch):
+    calls = []
+    solve = states_module._phase1_simplex
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(states_module, "_phase1_simplex", counting)
+    first, second = (load_test_space(corpus.gen("stateless")) for _ in range(2))
+    assert first == second and first is not second
+    for ts in (first, second):
+        for _ in range(2):
+            assert find_state(ts) is None
+            assert infeasibility_certificate(ts) == STATELESS_CERT
+    assert len(calls) == 2  # one component each, solved once per instance
+
+
+def test_dispersion_free_cap_counts_all_outcomes(monkeypatch):
+    ts = load_test_space(corpus.gen("two-disjoint"))  # two components, two outcomes each
+
+    def no_search(_ts):
+        raise AssertionError("searched before checking the cap")
+
+    with monkeypatch.context() as m:
+        m.setattr(states_module, "_search_components", no_search)
+        for call in (dispersion_free_states, is_udf):
+            with pytest.raises(CapExceededError):
+                call(ts, cap=3)
+    assert len(dispersion_free_states(ts, cap=4)) == 4
+    assert is_udf(ts, cap=4) == (True, None)
