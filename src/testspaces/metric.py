@@ -11,7 +11,6 @@ All distances are chordal (Euclidean in the ambient space).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ from .core import (
 
 DEFAULT_ORTHO_TOL = 1e-9  # angular tolerance (radians) for test orthogonality
 UNIT_NORM_TOL = 1e-12
-EXHAUSTIVE_MATCH_LIMIT = 8  # brute-force bijections up to this cardinality
 
 
 class ConvergenceError(TspError):
@@ -88,6 +86,22 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
     return rows
 
 
+_GRAM_BLOCK_ELEMENTS = 2 * 10**7  # 160 MB of float64 per Gram row block
+
+
+def _orthogonal_pairs(pts: np.ndarray, thr: float):
+    """Yield the index pairs (i < j) with |<p_i, p_j>| <= thr in row-major
+    order, one array per row block of the Gram matrix that holds any."""
+    n = len(pts)
+    block = max(1, _GRAM_BLOCK_ELEMENTS // max(n, 1))
+    for s in range(0, n, block):
+        ii, jj = np.nonzero(np.abs(pts[s : s + block] @ pts.T) <= thr)
+        ii = ii + s
+        keep = ii < jj
+        if keep.any():
+            yield np.stack([ii[keep], jj[keep]], axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricSample:
     """Outcome ids with unit-vector coordinates and near-orthogonal tests."""
@@ -138,18 +152,8 @@ class MetricSample:
 
     @cached_property
     def orthogonal_pair_indices(self) -> np.ndarray:
-        """All index pairs (i < j) of orthogonal sampled outcomes, blocked."""
-        thr = math.sin(self.ortho_tol)
-        n = len(self.ids)
-        block = max(1, int(2e7) // max(n, 1))
-        chunks = []
-        for s in range(0, n, block):
-            g = self.coords[s : s + block] @ self.coords.T
-            ii, jj = np.nonzero(np.abs(g) <= thr)
-            ii = ii + s
-            keep = ii < jj
-            if keep.any():
-                chunks.append(np.stack([ii[keep], jj[keep]], axis=1))
+        """All index pairs (i < j) of orthogonal sampled outcomes, row-major."""
+        chunks = list(_orthogonal_pairs(self.coords, math.sin(self.ortho_tol)))
         if not chunks:
             return np.empty((0, 2), dtype=int)
         return np.concatenate(chunks)
@@ -247,6 +251,8 @@ _EXACT_DISTANCE_ELEMENTS = 1 << 21
 def pairwise_distances(a, b) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.shape[1] != b.shape[1]:
+        raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
     if a.shape[0] * b.shape[0] * a.shape[1] <= _EXACT_DISTANCE_ELEMENTS:
         return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     d2 = (
@@ -270,60 +276,60 @@ def vietoris_member(points, open_: VietorisBasicOpen) -> bool:
     return bool(inside.any(axis=1).all() and inside.any(axis=0).all())
 
 
+def _hausdorff(dist: np.ndarray) -> float:
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+
+
 def hausdorff_distance(a, b) -> float:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValidationError("hausdorff distance needs nonempty point sets")
-    dist = pairwise_distances(a, b)
-    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    return _hausdorff(pairwise_distances(a, b))
 
 
-def _bottleneck(dist: np.ndarray, exhaustive_limit: int = EXHAUSTIVE_MATCH_LIMIT) -> float:
-    n = dist.shape[0]
-    if n <= exhaustive_limit:
-        best = math.inf
-        for perm in itertools.permutations(range(n)):
-            worst = 0.0
-            for i, j in enumerate(perm):
-                v = dist[i, j]
-                if v > worst:
-                    worst = v
-                    if worst >= best:
-                        break
-            else:
-                best = worst
-        return best
-    # Threshold search: the smallest distance value admitting a perfect
-    # matching in the bipartite graph of pairs within threshold.
-    values = np.unique(dist)
+def _perfect_matching(adj: np.ndarray) -> bool:
+    """Does the square boolean adjacency admit a perfect matching?
 
-    def feasible(t: float) -> bool:
-        adj = dist <= t
-        match = [-1] * n
-
-        def augment(u: int, seen) -> bool:
-            for v in range(n):
-                if adj[u, v] and not seen[v]:
-                    seen[v] = True
-                    if match[v] == -1 or augment(match[v], seen):
-                        match[v] = u
-                        return True
+    Each row in turn is matched along an augmenting path that a
+    breadth-first search finds; nothing recurses.
+    """
+    n = len(adj)
+    row_of = np.full(n, -1)  # the row matched to each column
+    col_of = np.full(n, -1)  # the column matched to each row
+    for root in range(n):
+        via = np.full(n, -1)  # the row each column was reached from
+        queue, end = [root], -1
+        for u in queue:  # the queue grows while it is walked
+            cols = np.flatnonzero(adj[u] & (via < 0))
+            via[cols] = u
+            free = cols[row_of[cols] < 0]
+            if free.size:
+                end = int(free[0])
+                break
+            queue.extend(row_of[cols].tolist())
+        if end < 0:
             return False
+        while end >= 0:  # flip the path back to the root
+            u = via[end]
+            row_of[end], col_of[u], end = u, end, col_of[u]
+    return True
 
-        return all(augment(u, [False] * n) for u in range(n))
 
+def _bottleneck(dist: np.ndarray) -> float:
+    """The least entry of `dist` whose threshold graph has a perfect matching."""
+    values = np.unique(dist)
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(float(values[mid])):
+        if _perfect_matching(dist <= values[mid]):
             hi = mid
         else:
             lo = mid + 1
     return float(values[lo])
 
 
-def matching_distance(a, b, exhaustive_limit: int | None = None) -> float:
+def matching_distance(a, b) -> float:
     """Minimum over bijections of the largest paired distance (bottleneck)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -331,9 +337,7 @@ def matching_distance(a, b, exhaustive_limit: int | None = None) -> float:
         raise ValidationError(
             f"matching distance needs equal cardinalities, got {a.shape[0]} and {b.shape[0]}"
         )
-    dist = pairwise_distances(a, b)
-    limit = EXHAUSTIVE_MATCH_LIMIT if exhaustive_limit is None else exhaustive_limit
-    return float(_bottleneck(dist, limit))
+    return _bottleneck(pairwise_distances(a, b))
 
 
 def tno_radius(sample: MetricSample, outcome: str) -> float:
@@ -363,28 +367,19 @@ def rank_bound(sample: MetricSample, cap_radius: float) -> int:
     if cap_radius <= 0:
         raise ValidationError("cap radius must be positive")
     pts = sample.coords
-    n = len(sample.ids)
-    covered = np.zeros(n, dtype=bool)
-    centers: list[int] = []
+    covered = np.zeros(len(pts), dtype=bool)
+    caps: list[tuple[int, np.ndarray]] = []  # (center, member indices)
     while not covered.all():
         c = int(np.argmax(~covered))
-        centers.append(c)
-        covered |= np.linalg.norm(pts - pts[c], axis=1) < cap_radius
+        inside = np.linalg.norm(pts - pts[c], axis=1) < cap_radius
+        caps.append((c, np.flatnonzero(inside)))
+        covered |= inside
     thr = math.sin(sample.ortho_tol)
-    for c in centers:
-        idx = np.flatnonzero(np.linalg.norm(pts - pts[c], axis=1) < cap_radius)
-        sub = pts[idx]
-        block = 2048
-        for s in range(0, len(idx), block):
-            g = sub[s : s + block] @ sub.T
-            ii, jj = np.nonzero(np.abs(g) <= thr)
-            ii = ii + s
-            bad = ii < jj
-            if bad.any():
-                k = int(np.flatnonzero(bad)[0])
-                pair = (sample.ids[idx[ii[k]]], sample.ids[idx[jj[k]]])
-                raise NotTotallyNonOrthogonalError(sample.ids[c], pair)
-    return len(centers)
+    for c, idx in caps:
+        for pairs in _orthogonal_pairs(pts[idx], thr):
+            i, j = idx[pairs[0]]
+            raise NotTotallyNonOrthogonalError(sample.ids[c], (sample.ids[i], sample.ids[j]))
+    return len(caps)
 
 
 def _separation(pts: np.ndarray) -> float:
@@ -407,7 +402,7 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
             raise ValidationError(f"{sorted(m)} is not an event of the sample")
     pa, pb = sample.points_of(ma), sample.points_of(mb)
     dist = pairwise_distances(pa, pb)
-    d_h = max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    d_h = _hausdorff(dist)
     guard = 0.5 * min(_separation(pa), _separation(pb))
     if not d_h < guard:
         return True

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -243,26 +243,33 @@ def _df_masks(tests: Sequence[tuple[str, ...]], bit: Mapping[str, int]) -> list[
             out.append(x)
         return out
 
-    def recurse():
-        if not undecided:
+    # One frame per branched test: (test, its remaining candidates, the
+    # outcomes the current candidate decided).  The explicit stack visits
+    # the states in the order a depth-first recursion would.
+    stack: list[tuple[int, Iterator[str], list[str]]] = []
+    while True:
+        if undecided:
+            i = min(undecided, key=lambda t: (len(candidates(t)), t))
+            undecided.discard(i)
+            stack.append((i, iter(candidates(i)), []))
+        else:
             masks.append(sum(b for x, b in bit.items() if value[x]))
-            return
-        i = min(undecided, key=lambda t: (len(candidates(t)), t))
-        undecided.discard(i)
-        for x in candidates(i):
-            changed = []
-            for y in tests[i]:
-                want = 1 if y == x else 0
-                if value[y] is None:
-                    value[y] = want
-                    changed.append(y)
-            recurse()
+        while stack:  # move to the next candidate of the deepest open test
+            i, todo, changed = stack[-1]
             for y in changed:
                 value[y] = None
-        undecided.add(i)
-
-    recurse()
-    return masks
+            changed.clear()
+            x = next(todo, None)
+            if x is not None:
+                for y in tests[i]:
+                    if value[y] is None:
+                        value[y] = 1 if y == x else 0
+                        changed.append(y)
+                break
+            stack.pop()
+            undecided.add(i)
+        if not stack:
+            return masks
 
 
 def _search_components(ts: TestSpace) -> list[list[int]]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from testspaces import metric as metric_module
 from testspaces.core import UnknownOutcomeError, ValidationError
 from testspaces.metric import (
     ConvergenceError,
@@ -21,6 +22,7 @@ from testspaces.metric import (
     load_basis,
     load_sample,
     matching_distance,
+    pairwise_distances,
     parse_coords,
     rank_bound,
     sample_frames,
@@ -103,6 +105,8 @@ def test_hausdorff_examples():
     assert hausdorff_distance([E1], [E1, E2]) == pytest.approx(ROOT2)
     with pytest.raises(ValidationError):
         hausdorff_distance([], [E1])
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        hausdorff_distance(np.eye(3), np.eye(3)[:, :2])
 
 
 def test_matching_examples():
@@ -110,19 +114,99 @@ def test_matching_examples():
     assert matching_distance([E1, E2], [E1, E3]) == pytest.approx(ROOT2)
     with pytest.raises(ValidationError):
         matching_distance([E1], [E1, E2])
+    with pytest.raises(ValidationError, match="dimensions differ"):
+        matching_distance(np.eye(3), np.eye(3)[:, :2])
 
 
-def test_matching_routes_agree_with_oracle():
+def frozen_threshold_bottleneck(dist: np.ndarray) -> float:
+    """The recursive threshold search `matching_distance` ran above n = 8
+    before its matcher became iterative; kept as the reference."""
+    n = dist.shape[0]
+    values = np.unique(dist)
+
+    def feasible(t: float) -> bool:
+        adj = dist <= t
+        match = [-1] * n
+
+        def augment(u: int, seen) -> bool:
+            for v in range(n):
+                if adj[u, v] and not seen[v]:
+                    seen[v] = True
+                    if match[v] == -1 or augment(match[v], seen):
+                        match[v] = u
+                        return True
+            return False
+
+        return all(augment(u, [False] * n) for u in range(n))
+
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(float(values[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
+
+
+@st.composite
+def equal_point_sets(draw, min_n: int, max_n: int):
+    """Two point sets of one size: independent, a permuted copy (exact or
+    perturbed), drawn with repeats from a small pool, or on an integer grid
+    where many distances tie."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    kind = draw(st.sampled_from(["independent", "permuted", "perturbed", "pool", "grid"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "grid":
+        a, b = rng.integers(-2, 3, size=(2, n, 2)).astype(float)
+    elif kind == "pool":
+        pool = rng.standard_normal((max(1, n // 3), 3))
+        a, b = pool[rng.integers(0, len(pool), size=(2, n))]
+    else:
+        a = rng.standard_normal((n, 3))
+        b = a[rng.permutation(n)]
+        if kind == "perturbed":
+            b = b + 1e-3 * rng.standard_normal((n, 3))
+        elif kind == "independent":
+            b = rng.standard_normal((n, 3))
+    return a, b
+
+
+def checked_matching(a, b) -> float:
+    got = matching_distance(a, b)
+    assert got in pairwise_distances(a, b)
+    assert got >= hausdorff_distance(a, b)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(equal_point_sets(1, 8))
+def test_matching_agrees_with_permutation_oracle(sets):
+    a, b = sets
+    assert checked_matching(a, b) == pytest.approx(bottleneck_oracle(a, b), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(equal_point_sets(9, 40))
+def test_matching_equals_frozen_threshold_search(sets):
+    a, b = sets
+    assert checked_matching(a, b) == frozen_threshold_bottleneck(pairwise_distances(a, b))
+
+
+def test_matching_of_large_near_identical_sets():
+    # Far above Python's recursion limit for a recursive augmenting path.
+    a = seeded_points(7, 1500)
+    b = a + 1e-6 * seeded_points(8, 1500)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    got = checked_matching(a, b)
+    assert got <= pairwise_distances(a, b).diagonal().max()
+
+
+def test_hausdorff_agrees_with_oracle():
     for seed in range(30):
         n = 2 + seed % 5
-        a, b = seeded_points(seed, n), seeded_points(seed + 1000, n)
-        exact = matching_distance(a, b)
-        threshold_route = matching_distance(a, b, exhaustive_limit=0)
-        assert exact == threshold_route
-        assert exact == pytest.approx(bottleneck_oracle(a, b), abs=1e-12)
-        d_h = hausdorff_distance(a, b)
-        assert d_h == pytest.approx(hausdorff_oracle(a, b), abs=1e-12)
-        assert d_h <= exact + 1e-12
+        a, b = seeded_points(seed, n), seeded_points(seed + 1000, n + seed % 3)
+        assert hausdorff_distance(a, b) == pytest.approx(hausdorff_oracle(a, b), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,6 +311,36 @@ def test_tno_radius_scans_all_pairs():
         tno_radius(s, "zzz")
 
 
+def rotated_plane_frames() -> MetricSample:
+    """Eight frames of the plane turned by multiples of 45 degrees, so that
+    many orthogonal pairs lie across tests."""
+    pts = np.vstack([(rotation_z(k * math.pi / 4) @ np.eye(3))[:2, :2].T for k in range(8)])
+    ids = tuple(f"p{k}" for k in range(len(pts)))
+    return MetricSample(ids, pts, tuple(frozenset(ids[k : k + 2]) for k in range(0, 16, 2)))
+
+
+def brute_orthogonal_pairs(s: MetricSample) -> list[tuple[int, int]]:
+    thr = math.sin(s.ortho_tol)
+    n = len(s.ids)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if abs(float(s.coords[i] @ s.coords[j])) <= thr
+    ]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, None])
+def test_orthogonal_pairs_match_brute_force(monkeypatch, rows_per_block):
+    samples = [rotated_plane_frames(), sample_frames(3, 30, seed=5), sample_frames(4, 12, seed=6)]
+    for s in samples:
+        if rows_per_block is not None:  # None keeps the default budget
+            monkeypatch.setattr(metric_module, "_GRAM_BLOCK_ELEMENTS", rows_per_block * len(s.ids))
+        pairs = s.orthogonal_pair_indices
+        assert pairs.shape[1] == 2
+        assert [tuple(p) for p in pairs.tolist()] == brute_orthogonal_pairs(s)
+
+
 # -------------------------------------------------------------- rank bound
 
 
@@ -237,8 +351,7 @@ def test_rank_bound_single_frame_small_caps():
 def test_rank_bound_rejects_wide_caps():
     with pytest.raises(NotTotallyNonOrthogonalError) as exc:
         rank_bound(frame_sample(), 2.5)
-    assert exc.value.center == "a"
-    assert set(exc.value.pair) <= {"a", "b", "c"}
+    assert (exc.value.center, exc.value.pair) == ("a", ("a", "b"))
     with pytest.raises(ValidationError):
         rank_bound(frame_sample(), 0.0)
 

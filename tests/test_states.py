@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -371,6 +372,18 @@ def test_per_component_solve_equals_whole_space_reference(seeds, rnd):
     assert [dict(s.values) for s in dispersion_free_states(ts)] == solutions
     assert is_udf(ts) == reference_is_udf(ts, solutions)
 
+
+
+def test_dispersion_free_search_deeper_than_the_recursion_limit():
+    # One component of 1100 tests: the search goes one level per test.
+    others = [f"o{k:02d}" for k in range(23)]
+    subsets = [c for r in (1, 2, 3) for c in itertools.combinations(others, r)]
+    chosen = random.Random(0).sample(subsets, 1100)
+    ts = TestSpace.build(["s", *others], [("s", *c) for c in chosen])
+    assert len(ts.tests) == 1100
+    (only,) = dispersion_free_states(ts)
+    assert only.values == {x: F(x == "s") for x in ts.outcomes}
+    assert is_udf(ts) == (False, "o00")
 
 # ------------------------------------------------------------------ memo
 
