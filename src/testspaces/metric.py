@@ -247,14 +247,58 @@ def dump_basis(basis) -> str:
 # which trades ~1e-8 absolute accuracy near zero for an O(nm) matmul.
 _EXACT_DISTANCE_ELEMENTS = 1 << 21
 
+# numpy's np.linalg.norm sums an axis of fewer than 8 terms in order and a
+# longer one pairwise in 8 lanes; summing coordinate columns in order
+# reproduces the first case bit for bit.
+_COLUMN_DIMS = 7
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances, shape (len(b), len(a)), from each point of b to
+    each point of a, rounded exactly as np.linalg.norm rounds them before
+    its square root.
+
+    Up to _COLUMN_DIMS dimensions this sums the squared coordinate
+    differences column by column over whole vectors, which is fastest when
+    a's columns are contiguous.
+    """
+    if a.shape[1] > _COLUMN_DIMS:
+        diff = np.ascontiguousarray(a)[None, :, :] - np.ascontiguousarray(b)[:, None, :]
+        return np.add.reduce(diff * diff, axis=2)
+    total = None
+    for k in range(a.shape[1]):
+        diff = a[:, k] - b[:, k, None]
+        diff *= diff
+        if total is None:
+            total = diff
+        else:
+            total += diff
+    return total
+
+
+def _nearest_distances(a, b) -> np.ndarray:
+    """Distance from each point of a to the nearest point of b.
+
+    The minimum is taken over squared distances and the square root once,
+    which is exact because the square root is monotone.
+    """
+    return np.sqrt(_squared_distances(a, b).min(axis=0))
+
 
 def pairwise_distances(a, b) -> np.ndarray:
+    """Chordal distances between the rows of a and b, shape (len(a), len(b)).
+
+    Two routes: up to _EXACT_DISTANCE_ELEMENTS (len(a) * len(b) * dim) the
+    exact route, which equals np.linalg.norm(a[:, None] - b[None], axis=2)
+    bit for bit; above it the Gram expansion |x|^2 + |y|^2 - 2<x, y>, which
+    is off by about 1e-8 near zero.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
     if a.shape[0] * b.shape[0] * a.shape[1] <= _EXACT_DISTANCE_ELEMENTS:
-        return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+        return np.sqrt(_squared_distances(b, a))
     d2 = (
         np.sum(a * a, axis=1)[:, None]
         + np.sum(b * b, axis=1)[None, :]
@@ -288,16 +332,17 @@ def hausdorff_distance(a, b) -> float:
     return _hausdorff(pairwise_distances(a, b))
 
 
-def _perfect_matching(adj: np.ndarray) -> bool:
-    """Does the square boolean adjacency admit a perfect matching?
+def _augment(adj: np.ndarray, row_of: np.ndarray, col_of: np.ndarray) -> bool:
+    """Grow the matching (row_of, col_of) in place to a perfect one of the
+    square boolean adjacency; False when some row has no augmenting path.
 
-    Each row in turn is matched along an augmenting path that a
-    breadth-first search finds; nothing recurses.
+    Each free row in turn is matched along an augmenting path that a
+    breadth-first search finds; nothing recurses.  Augmenting keeps every
+    matched row matched, so on failure the matching holds every row matched
+    so far, and it stays a matching of any graph with more edges.
     """
     n = len(adj)
-    row_of = np.full(n, -1)  # the row matched to each column
-    col_of = np.full(n, -1)  # the column matched to each row
-    for root in range(n):
+    for root in np.flatnonzero(col_of < 0):
         via = np.full(n, -1)  # the row each column was reached from
         queue, end = [root], -1
         for u in queue:  # the queue grows while it is walked
@@ -317,15 +362,26 @@ def _perfect_matching(adj: np.ndarray) -> bool:
 
 
 def _bottleneck(dist: np.ndarray) -> float:
-    """The least entry of `dist` whose threshold graph has a perfect matching."""
+    """The least entry of `dist` whose threshold graph has a perfect matching.
+
+    Every threshold the binary search tries above an infeasible one starts
+    from the matching found there, which is valid at any larger threshold;
+    a free row without an augmenting path rules out a perfect matching
+    whatever matching it starts from, so the answer does not depend on it.
+    """
     values = np.unique(dist)
+    n = len(dist)
+    row_of = np.full(n, -1)  # the row matched to each column
+    col_of = np.full(n, -1)  # the column matched to each row
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _perfect_matching(dist <= values[mid]):
+        rows, cols = row_of.copy(), col_of.copy()
+        if _augment(dist <= values[mid], rows, cols):
             hi = mid
         else:
             lo = mid + 1
+            row_of, col_of = rows, cols
     return float(values[lo])
 
 
@@ -355,6 +411,9 @@ def tno_radius(sample: MetricSample, outcome: str) -> float:
     return float(far.min())
 
 
+_CAP_CHORD_SLACK = 1e-6
+
+
 def rank_bound(sample: MetricSample, cap_radius: float) -> int:
     """Bound test cardinalities by a greedy cover with small caps.
 
@@ -375,6 +434,12 @@ def rank_bound(sample: MetricSample, cap_radius: float) -> int:
         caps.append((c, np.flatnonzero(inside)))
         covered |= inside
     thr = math.sin(sample.ortho_tol)
+    # Two points of a cap lie less than 2r apart; two unit vectors orthogonal
+    # within ortho_tol lie at least this chord apart.  The slack covers the
+    # unit-norm tolerance and rounding, so a skipped scan could find nothing.
+    chord = math.sqrt(max(0.0, 2.0 - 2.0 * thr))
+    if 2.0 * cap_radius < chord - _CAP_CHORD_SLACK:
+        return len(caps)
     for c, idx in caps:
         for pairs in _orthogonal_pairs(pts[idx], thr):
             i, j = idx[pairs[0]]
@@ -412,6 +477,7 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
 
 
 MAX_FRAME_COUNT = 10**6  # keeps generated ids at a fixed width
+MAX_FRAME_FLOATS = 2**25  # count * d * d, about 270 MB for one copy of the frames
 
 
 def sample_frames(d: int, count: int, seed: int) -> MetricSample:
@@ -426,6 +492,11 @@ def sample_frames(d: int, count: int, seed: int) -> MetricSample:
         raise ValidationError("frame dimension must be at least 2")
     if not 1 <= count <= MAX_FRAME_COUNT:
         raise ValidationError(f"frame count must be in 1..{MAX_FRAME_COUNT}")
+    if count * d * d > MAX_FRAME_FLOATS:
+        raise ValidationError(
+            f"{count} frames of dimension {d} need {count * d * d} floats, "
+            f"over the budget of {MAX_FRAME_FLOATS}"
+        )
     rng = np.random.default_rng(seed)
     mats = rng.standard_normal((count, d, d))
     q, r = np.linalg.qr(mats)

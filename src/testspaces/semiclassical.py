@@ -19,7 +19,13 @@ from functools import cached_property
 import numpy as np
 
 from .core import TestSpace, TspError, ValidationError
-from .metric import MetricSample, VietorisBasicOpen, basic_open, pairwise_distances
+from .metric import (
+    MetricSample,
+    VietorisBasicOpen,
+    _nearest_distances,
+    _squared_distances,
+    basic_open,
+)
 
 DEFAULT_MARGIN = 1e-6
 
@@ -136,11 +142,28 @@ class ExtractionResult:
 
 
 def _frame_points(sample: MetricSample) -> np.ndarray:
-    """Sample coordinates grouped by test, shape (tests, size, dim)."""
+    """Sample coordinates grouped by test, shape (tests, size, dim); each
+    test's points in sorted outcome order."""
     sizes = {len(t) for t in sample.tests}
     if len(sizes) != 1:
         raise ValidationError("extraction needs tests of one common size")
-    return np.stack([sample.points_of(t) for t in sample.tests])
+    index = sample._index
+    rows = np.array(
+        [index[x] for t in sample.tests for x in sorted(t)], dtype=np.intp
+    )
+    return sample.coords[rows.reshape(len(sample.tests), sizes.pop())]
+
+
+def _slot_columns(pts: np.ndarray) -> np.ndarray:
+    """The points in slot s of every test, as slots[s] of shape (tests, dim)
+    with contiguous coordinate columns."""
+    return pts.transpose(1, 2, 0).copy().transpose(0, 2, 1)
+
+
+def _nearest_update(slots: np.ndarray, mind: np.ndarray, points) -> None:
+    """Lower mind[s, t] to the distance from slot s of test t to points."""
+    for s, cols in enumerate(slots):
+        np.minimum(mind[s], _nearest_distances(cols, points), out=mind[s])
 
 
 def _check_basis(basis: tuple, dim: int) -> None:
@@ -179,29 +202,33 @@ def extract_semiclassical(
     pts = _frame_points(sample)
     count, size, dim = pts.shape
     _check_basis(basis, dim)
-    flat = pts.reshape(count * size, dim)
-    mindist = np.full(count * size, np.inf)
+    slots = _slot_columns(pts)
+    mind = np.full((size, count), np.inf)  # distance to the selected points
     selected: list[int] = []
     open_hits: list[int | None] = []
     separation = np.inf
     for open_ in basis:
-        dist = pairwise_distances(flat, open_.centers).reshape(
-            count, size, len(open_.balls)
-        )
-        inside = dist < open_.radii[None, None, :]
-        member = inside.any(axis=2).all(axis=1) & inside.any(axis=1).all(axis=1)
-        clearance = mindist.reshape(count, size).min(axis=1)
-        ok = member & (clearance >= margin)
-        if not ok.any():
+        # member[t]: each point of test t lies in some ball so far;
+        # meets[b, t]: ball b holds some point of test t
+        member = np.ones(count, dtype=bool)
+        meets = np.zeros((len(open_.balls), count), dtype=bool)
+        for cols in slots:
+            dist = np.sqrt(_squared_distances(cols, open_.centers))
+            inside = dist < open_.radii[:, None]
+            member &= inside.any(axis=0)
+            meets |= inside
+        candidates = np.flatnonzero(member & meets.all(axis=0))
+        clearance = mind[:, candidates].min(axis=0)
+        clear = np.flatnonzero(clearance >= margin)
+        if not clear.size:
             open_hits.append(None)
             continue
-        k = int(np.argmax(ok))
+        k = int(candidates[clear[0]])
         open_hits.append(k)
         selected.append(k)
-        separation = min(separation, float(clearance[k]))
-        d_new = pairwise_distances(flat, pts[k]).min(axis=1)
-        np.minimum(mindist, d_new, out=mindist)
-    coverage = float(mindist.max()) if selected else np.inf
+        separation = min(separation, float(clearance[clear[0]]))
+        _nearest_update(slots, mind, pts[k])
+    coverage = float(mind.max()) if selected else np.inf
     tests = [sample.tests[k] for k in selected]
     outcomes = sorted(set().union(*tests)) if tests else []
     if tests:
@@ -224,19 +251,17 @@ def extract_semiclassical(
     )
 
 
-def _coverage_sweep(pts, flat, mind, chosen, n_new):
+def _coverage_sweep(pts, slots, mind, chosen, n_new):
     """Advance the farthest-point sweep by n_new anchors, updating mind."""
-    count, size, _dim = pts.shape
     anchors = []
     while len(anchors) < n_new:
-        owner = int(np.argmax(mind)) // size
+        # the first test holding a farthest point, as in test-major order
+        owner = int(np.argmax(mind.max(axis=0)))
         if owner in chosen:  # everything already at distance zero
-            owner = min(k for k in range(count) if k not in chosen)
+            owner = min(k for k in range(len(pts)) if k not in chosen)
         anchors.append(owner)
         chosen.add(owner)
-        np.minimum(
-            mind, pairwise_distances(flat, pts[owner]).min(axis=1), out=mind
-        )
+        _nearest_update(slots, mind, pts[owner])
     return anchors
 
 
@@ -269,10 +294,10 @@ def auto_basis(sample: MetricSample, n_opens: int, delta: float):
     count, size, _dim = pts.shape
     if not 1 <= n_opens <= count:
         raise ValidationError(f"need between 1 and {count} opens, got {n_opens}")
-    flat = pts.reshape(count * size, -1)
-    chosen = {0}
-    mind = pairwise_distances(flat, pts[0]).min(axis=1)
-    anchors = [0] + _coverage_sweep(pts, flat, mind, chosen, n_opens - 1)
+    slots = _slot_columns(pts)
+    mind = np.full((size, count), np.inf)
+    _nearest_update(slots, mind, pts[0])
+    anchors = [0] + _coverage_sweep(pts, slots, mind, {0}, n_opens - 1)
     radius = _open_radius(delta, float(mind.max()))
     return tuple(basic_open(pts[a], radius) for a in anchors)
 
@@ -293,12 +318,10 @@ def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
         raise ValidationError("density target must be positive")
     pts = _frame_points(sample)
     _check_basis(basis, pts.shape[2])
-    flat = pts.reshape(len(pts) * pts.shape[1], -1)
-    mind = np.full(len(flat), np.inf)
+    slots = _slot_columns(pts)
+    mind = np.full(slots.shape[:2], np.inf)
     for open_ in basis:
-        np.minimum(
-            mind, pairwise_distances(flat, open_.centers).min(axis=1), out=mind
-        )
-    anchors = _coverage_sweep(pts, flat, mind, set(), n_more)
+        _nearest_update(slots, mind, open_.centers)
+    anchors = _coverage_sweep(pts, slots, mind, set(), n_more)
     radius = _open_radius(delta, float(mind.max()))
     return basis + tuple(basic_open(pts[a], radius) for a in anchors)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,51 @@ def test_matching_of_large_near_identical_sets():
     assert got <= pairwise_distances(a, b).diagonal().max()
 
 
+def test_matching_of_large_independent_sets():
+    a, b = seeded_points(7, 1500), seeded_points(8, 1500)
+    checked_matching(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_bottleneck_equals_frozen_threshold_search_on_tied_entries(n, levels, seed):
+    # Few distinct entries: many thresholds fail before one succeeds, so
+    # the matching carried over from failed thresholds does real work.
+    dist = np.random.default_rng(seed).integers(0, levels, size=(n, n)).astype(float)
+    assert metric_module._bottleneck(dist) == frozen_threshold_bottleneck(dist)
+
+
+def frozen_norm_distances(a, b) -> np.ndarray:
+    """The expression the exact route of `pairwise_distances` evaluated
+    before its column kernel; kept as the reference."""
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=-4, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exact_distances_equal_frozen_norm(d, n, m, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, d)) * 10.0**scale
+    b = np.vstack([rng.standard_normal((m, d)), a[: m // 2]])  # some exact repeats
+    want = frozen_norm_distances(a, b)
+    got = pairwise_distances(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    # the nearest distances take the minimum before the square root
+    assert np.array_equal(metric_module._nearest_distances(a, b), want.min(axis=1))
+    assert np.array_equal(metric_module._nearest_distances(np.asfortranarray(a), b), want.min(axis=1))
+
+
 def test_hausdorff_agrees_with_oracle():
     for seed in range(30):
         n = 2 + seed % 5
@@ -356,6 +402,23 @@ def test_rank_bound_rejects_wide_caps():
         rank_bound(frame_sample(), 0.0)
 
 
+@pytest.mark.parametrize("d, count, seed", [(3, 300, 1), (4, 200, 2), (5, 150, 3)])
+def test_rank_bound_skips_only_caps_too_small_for_an_orthogonal_pair(monkeypatch, d, count, seed):
+    s = sample_frames(d, count, seed=seed)
+    chord = math.sqrt(2.0 - 2.0 * math.sin(s.ortho_tol))
+    radii = np.random.default_rng(seed).uniform(0.05, chord / 2, 6).tolist() + [chord / 2 - 1e-6]
+    skipped = [rank_bound(s, r) for r in radii]
+
+    def no_scan(*args):
+        raise AssertionError("a cap this small cannot hold an orthogonal pair")
+
+    with monkeypatch.context() as m:
+        m.setattr(metric_module, "_orthogonal_pairs", no_scan)
+        assert [rank_bound(s, r) for r in radii] == skipped
+    monkeypatch.setattr(metric_module, "_CAP_CHORD_SLACK", math.inf)  # always scan
+    assert [rank_bound(s, r) for r in radii] == skipped
+
+
 def test_rank_bound_under_45_degree_caps():
     s = sample_frames(3, 50, seed=3)
     cap = 2.0 * math.sin(math.radians(15.0))  # chordal radius of a 30 degree cap
@@ -440,6 +503,17 @@ def test_sample_frames_dimension_two_and_errors():
         sample_frames(1, 5, seed=0)
     with pytest.raises(ValidationError):
         sample_frames(3, 0, seed=0)
+
+
+def test_sample_frames_rejects_sizes_over_the_memory_budget():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="over the budget"):
+            sample_frames(10**5, 10, seed=0)  # 10**11 floats
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 # ----------------------------------------------------------------- closure

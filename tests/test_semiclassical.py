@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 from testspaces import corpus
 from testspaces.core import TestSpace, ValidationError
 from testspaces.logic import build_logic
-from testspaces.metric import MetricSample, basic_open, sample_frames, vietoris_member
+from testspaces.metric import (
+    MetricSample,
+    VietorisBasicOpen,
+    basic_open,
+    sample_frames,
+    vietoris_member,
+)
 from testspaces.semiclassical import (
     DegenerateTestError,
     ExtractionResult,
@@ -240,3 +246,183 @@ def test_extend_basis_keeps_prefix_and_improves_coverage():
         extend_basis(large, (), 3, delta=0.9)
     with pytest.raises(ValidationError):
         extend_basis(large, basis, 0, delta=0.9)
+
+
+# ----------------------------------------- frozen reference of the sweeps
+
+
+def frozen_distances(a, b) -> np.ndarray:
+    """The exact route of `pairwise_distances` before its column kernel;
+    the inputs here stay below the size where the Gram route took over."""
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+
+
+def frozen_frame_points(sample):
+    sizes = {len(t) for t in sample.tests}
+    if len(sizes) != 1:
+        raise ValidationError("extraction needs tests of one common size")
+    return np.stack([sample.points_of(t) for t in sample.tests])
+
+
+def frozen_extract(sample, basis, margin):
+    """`extract_semiclassical` before it ran on per-slot columns, reduced to
+    (selected, open_hits, coverage_radius, separation); kept as reference."""
+    pts = frozen_frame_points(sample)
+    count, size, dim = pts.shape
+    flat = pts.reshape(count * size, dim)
+    mindist = np.full(count * size, np.inf)
+    selected, open_hits = [], []
+    separation = np.inf
+    for open_ in basis:
+        dist = frozen_distances(flat, open_.centers).reshape(count, size, len(open_.balls))
+        inside = dist < open_.radii[None, None, :]
+        member = inside.any(axis=2).all(axis=1) & inside.any(axis=1).all(axis=1)
+        clearance = mindist.reshape(count, size).min(axis=1)
+        ok = member & (clearance >= margin)
+        if not ok.any():
+            open_hits.append(None)
+            continue
+        k = int(np.argmax(ok))
+        open_hits.append(k)
+        selected.append(k)
+        separation = min(separation, float(clearance[k]))
+        np.minimum(mindist, frozen_distances(flat, pts[k]).min(axis=1), out=mindist)
+    coverage = float(mindist.max()) if selected else np.inf
+    return tuple(selected), tuple(open_hits), coverage, float(separation)
+
+
+def frozen_sweep(pts, flat, mind, chosen, n_new):
+    count, size, _dim = pts.shape
+    anchors = []
+    while len(anchors) < n_new:
+        owner = int(np.argmax(mind)) // size
+        if owner in chosen:
+            owner = min(k for k in range(count) if k not in chosen)
+        anchors.append(owner)
+        chosen.add(owner)
+        np.minimum(mind, frozen_distances(flat, pts[owner]).min(axis=1), out=mind)
+    return anchors
+
+
+def frozen_open_radius(delta, achieved):
+    slack = delta - achieved
+    return slack if slack > 0 else delta / 4
+
+
+def frozen_auto_basis(sample, n_opens, delta):
+    pts = frozen_frame_points(sample)
+    count, size, _dim = pts.shape
+    flat = pts.reshape(count * size, -1)
+    mind = frozen_distances(flat, pts[0]).min(axis=1)
+    anchors = [0] + frozen_sweep(pts, flat, mind, {0}, n_opens - 1)
+    radius = frozen_open_radius(delta, float(mind.max()))
+    return tuple(basic_open(pts[a], radius) for a in anchors)
+
+
+def frozen_extend_basis(sample, basis, n_more, delta):
+    pts = frozen_frame_points(sample)
+    flat = pts.reshape(len(pts) * pts.shape[1], -1)
+    mind = np.full(len(flat), np.inf)
+    for open_ in basis:
+        np.minimum(mind, frozen_distances(flat, open_.centers).min(axis=1), out=mind)
+    anchors = frozen_sweep(pts, flat, mind, set(), n_more)
+    radius = frozen_open_radius(delta, float(mind.max()))
+    return tuple(basis) + tuple(basic_open(pts[a], radius) for a in anchors)
+
+
+def overlapping_frames(d: int, count: int, seed: int) -> MetricSample:
+    """Sampled frames plus, for about half of them, a second frame that
+    shares one outcome and turns the others about it.  The new ids sort
+    before or after the old ones, so the shared point sits in different
+    slots of its two tests and the sweep meets exact ties across slots."""
+    base = sample_frames(d, count, seed)
+    rng = np.random.default_rng(seed)
+    ids, coords, tests = list(base.ids), [base.coords], list(base.tests)
+    for k, test in enumerate(base.tests):
+        if rng.random() < 0.5:
+            continue
+        members = sorted(test)
+        shared = members.pop(int(rng.integers(d)))
+        others = np.stack([base.point(x) for x in members])
+        turn, _ = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))
+        new = turn @ others
+        new /= np.linalg.norm(new, axis=1, keepdims=True)
+        names = [f"{'eg'[k % 2]}{k}.{i}" for i in range(d - 1)]
+        ids += names
+        coords.append(new)
+        tests.append(frozenset([shared, *names]))
+    return MetricSample(tuple(ids), np.vstack(coords), tuple(tests))
+
+
+def random_opens(rng, sample: MetricSample, n: int):
+    """Opens of 1-4 balls around perturbed sampled points, so the ball count
+    differs from the test size and many tests fall partly outside; and opens
+    around the perturbed points of one test whose radii put those points
+    exactly on the boundary spheres, where the balls, being open, miss."""
+    opens = []
+    for i in range(n):
+        if i % 2:
+            picks = sorted(sample.index_of(x) for x in sample.tests[rng.integers(len(sample.tests))])
+        else:
+            picks = rng.integers(0, len(sample.ids), size=int(rng.integers(1, 5)))
+        points = sample.coords[picks]
+        centers = points + 0.05 * rng.standard_normal(points.shape)
+        if i % 2:
+            radii = frozen_distances(points, centers).diagonal()
+        else:
+            radii = rng.uniform(0.05, 1.2, len(picks))
+        opens.append(VietorisBasicOpen(tuple((c, float(r)) for c, r in zip(centers, radii))))
+    return tuple(opens)
+
+
+def assert_same_basis(got, want):
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert np.array_equal(u.centers, v.centers)
+        assert np.array_equal(u.radii, v.radii)
+
+
+def extraction_answer(sample, basis, margin):
+    try:
+        result = extract_semiclassical(sample, basis, margin=margin)
+    except ValidationError as exc:
+        assert "widen the basis" in str(exc)
+        return None
+    return result.selected, result.open_hits, result.coverage_radius, result.separation
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([3, 4, 8]),
+    count=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    overlap=st.booleans(),
+    delta=st.sampled_from([0.05, 0.3, 0.9, 2.5]),
+    margin=st.sampled_from([1e-6, 0.05, 0.3, 1.0]),
+)
+def test_sweeps_and_extraction_equal_frozen_reference(d, count, seed, overlap, delta, margin):
+    sample = overlapping_frames(d, count, seed) if overlap else sample_frames(d, count, seed)
+    rng = np.random.default_rng(seed)
+    n_opens = int(rng.integers(1, len(sample.tests) + 1))
+    basis = auto_basis(sample, n_opens, delta)
+    assert_same_basis(basis, frozen_auto_basis(sample, n_opens, delta))
+    basis += random_opens(rng, sample, 6)
+    want = frozen_extract(sample, basis, margin)
+    got = extraction_answer(sample, basis, margin)
+    assert got == (want if want[0] else None)
+    bigger = sample_frames(d, 2 * count, seed)
+    n_more = int(rng.integers(1, count + 1))
+    grown = extend_basis(bigger, basis, n_more, delta)
+    assert_same_basis(grown, frozen_extend_basis(bigger, basis, n_more, delta))
+    want = frozen_extract(bigger, grown, margin)
+    assert extraction_answer(bigger, grown, margin) == (want if want[0] else None)
+
+
+def test_extraction_equals_frozen_reference_with_forced_misses():
+    sample = overlapping_frames(3, 60, 11)
+    basis = auto_basis(sample, 40, 0.6)
+    for margin in (1e-6, 0.2, 0.6, 1.5):
+        want = frozen_extract(sample, basis, margin)
+        assert extraction_answer(sample, basis, margin) == want
+        if margin >= 0.2:
+            assert None in want[1]  # the margin turned some opens away
