@@ -302,6 +302,7 @@ class Logic:
         return self._ocomp[p]
 
     def leq(self, p: int, q: int) -> bool:
+        """p <= q in the natural order: some r has p + r = q."""
         return bool(self._leq[p, q])
 
     def join(self, p: int, q: int) -> int | None:
@@ -409,11 +410,6 @@ def build_logic(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> Logic:
             f"complements of class {i} scatter over {sorted(set(other[own == i].tolist()))}"
         )
     return Logic(classes, zero, one, table, tuple(ocomp.tolist()), leq)
-
-
-def natural_order(logic: Logic, p: int, q: int) -> bool:
-    """p <= q in the natural order: some r has p + r = q."""
-    return logic.leq(p, q)
 
 
 @dataclass(frozen=True)

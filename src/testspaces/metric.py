@@ -74,26 +74,28 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
     rows.append(("covering", covered == set(ids),
                  f"{len(set(ids) - covered)} uncovered"))
     thr = math.sin(ortho_tol)
-    worst = 0.0
+    rows_of_size: dict[int, list[int]] = {}  # test size -> sorted member rows
     for t in tests:
-        rowsel = coords[[index[x] for x in sorted(t)]]
-        g = rowsel @ rowsel.T
-        if len(rowsel) > 1:
-            off = np.abs(g[~np.eye(len(rowsel), dtype=bool)]).max()
-            worst = max(worst, float(off))
+        rows_of_size.setdefault(len(t), []).extend(index[x] for x in sorted(t))
+    worst = 0.0
+    for k, members in rows_of_size.items():
+        if k > 1:
+            pts = coords[np.array(members).reshape(-1, k)]
+            g = pts @ pts.transpose(0, 2, 1)
+            worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
     rows.append(("in-test-orthogonality", worst <= thr,
                  f"max |inner| {worst:.3e} vs {thr:.3e}"))
     return rows
 
 
-_GRAM_BLOCK_ELEMENTS = 2 * 10**7  # 160 MB of float64 per Gram row block
+_BLOCK_ELEMENTS = 1 << 20  # 8 MB of float64 per row block of a blocked scan
 
 
 def _orthogonal_pairs(pts: np.ndarray, thr: float):
     """Yield the index pairs (i < j) with |<p_i, p_j>| <= thr in row-major
     order, one array per row block of the Gram matrix that holds any."""
     n = len(pts)
-    block = max(1, _GRAM_BLOCK_ELEMENTS // max(n, 1))
+    block = max(1, _BLOCK_ELEMENTS // max(n, 1))
     for s in range(0, n, block):
         ii, jj = np.nonzero(np.abs(pts[s : s + block] @ pts.T) <= thr)
         ii = ii + s
@@ -243,10 +245,6 @@ def dump_basis(basis) -> str:
     return "".join(lines)
 
 
-# Above this size the distance matrix is built by the Gram-expansion trick,
-# which trades ~1e-8 absolute accuracy near zero for an O(nm) matmul.
-_EXACT_DISTANCE_ELEMENTS = 1 << 21
-
 # numpy's np.linalg.norm sums an axis of fewer than 8 terms in order and a
 # longer one pairwise in 8 lanes; summing coordinate columns in order
 # reproduces the first case bit for bit.
@@ -258,21 +256,30 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     each point of a, rounded exactly as np.linalg.norm rounds them before
     its square root.
 
-    Up to _COLUMN_DIMS dimensions this sums the squared coordinate
-    differences column by column over whole vectors, which is fastest when
-    a's columns are contiguous.
+    Works through row blocks of b, with one difference buffer of at most
+    _BLOCK_ELEMENTS floats reused by every block.  Up to _COLUMN_DIMS
+    dimensions a block sums the squared coordinate differences column by
+    column, which is fastest when a's columns are contiguous; above it the
+    differences are stacked along a last axis and reduced as np.linalg.norm
+    reduces them.
     """
-    if a.shape[1] > _COLUMN_DIMS:
-        diff = np.ascontiguousarray(a)[None, :, :] - np.ascontiguousarray(b)[:, None, :]
-        return np.add.reduce(diff * diff, axis=2)
-    total = None
-    for k in range(a.shape[1]):
-        diff = a[:, k] - b[:, k, None]
-        diff *= diff
-        if total is None:
-            total = diff
+    stacked = a.shape[1] > _COLUMN_DIMS
+    rows = max(1, _BLOCK_ELEMENTS // max(a.size, 1))
+    total = np.empty((len(b), len(a)))
+    diff = np.empty((min(rows, len(b)), len(a)) + ((a.shape[1],) if stacked else ()))
+    for s in range(0, len(b), rows):
+        out, d, part = total[s : s + rows], diff[: len(b) - s], b[s : s + rows]
+        if stacked:
+            np.subtract(a[None, :, :], part[:, None, :], out=d)
+            np.multiply(d, d, out=d)
+            np.add.reduce(d, axis=2, out=out)
         else:
-            total += diff
+            np.subtract(a[:, 0], part[:, 0, None], out=out)
+            out *= out
+            for k in range(1, a.shape[1]):
+                np.subtract(a[:, k], part[:, k, None], out=d)
+                d *= d
+                out += d
     return total
 
 
@@ -288,23 +295,15 @@ def _nearest_distances(a, b) -> np.ndarray:
 def pairwise_distances(a, b) -> np.ndarray:
     """Chordal distances between the rows of a and b, shape (len(a), len(b)).
 
-    Two routes: up to _EXACT_DISTANCE_ELEMENTS (len(a) * len(b) * dim) the
-    exact route, which equals np.linalg.norm(a[:, None] - b[None], axis=2)
-    bit for bit; above it the Gram expansion |x|^2 + |y|^2 - 2<x, y>, which
-    is off by about 1e-8 near zero.
+    Equal bit for bit to np.linalg.norm(a[:, None] - b[None], axis=2) at
+    every size, so the distance of a point to itself is exactly 0.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
-    if a.shape[0] * b.shape[0] * a.shape[1] <= _EXACT_DISTANCE_ELEMENTS:
-        return np.sqrt(_squared_distances(b, a))
-    d2 = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.clip(d2, 0.0, None))
+    dist = _squared_distances(b, a)
+    return np.sqrt(dist, out=dist)
 
 
 def vietoris_member(points, open_: VietorisBasicOpen) -> bool:

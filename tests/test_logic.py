@@ -30,7 +30,6 @@ from testspaces.logic import (
     loads_oa,
     logic_to_oa,
     mo2_oa,
-    natural_order,
     oa_to_test_space,
     roundtrip_logic,
 )
@@ -99,11 +98,11 @@ def test_mo2_order_is_trivial_between_sides(spaces):
     logic = build_logic(spaces["mo2"])
     a = logic.class_of({"a"})
     b = logic.class_of({"b"})
-    assert not natural_order(logic, a, b)
-    assert not natural_order(logic, b, a)
-    assert natural_order(logic, logic.zero, a)
-    assert natural_order(logic, a, logic.one)
-    assert natural_order(logic, a, a)
+    assert not logic.leq(a, b)
+    assert not logic.leq(b, a)
+    assert logic.leq(logic.zero, a)
+    assert logic.leq(a, logic.one)
+    assert logic.leq(a, a)
 
 
 def test_osum_undefined_for_non_orthogonal(spaces):

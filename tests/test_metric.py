@@ -234,18 +234,35 @@ def frozen_norm_distances(a, b) -> np.ndarray:
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=-4, max_value=4),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=2000)),
 )
-def test_exact_distances_equal_frozen_norm(d, n, m, scale, seed):
+def test_exact_distances_equal_frozen_norm(d, n, m, scale, seed, block_elements):
+    """Bit for bit at the default block budget (None) and at budgets of one
+    to a few rows, under which both routes run over several blocks."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, d)) * 10.0**scale
     b = np.vstack([rng.standard_normal((m, d)), a[: m // 2]])  # some exact repeats
     want = frozen_norm_distances(a, b)
-    got = pairwise_distances(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_elements is not None:
+            mp.setattr(metric_module, "_BLOCK_ELEMENTS", block_elements)
+        got = pairwise_distances(a, b)
+        # the nearest distances take the minimum before the square root
+        nearest = metric_module._nearest_distances(a, b)
+        nearest_f = metric_module._nearest_distances(np.asfortranarray(a), b)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    # the nearest distances take the minimum before the square root
-    assert np.array_equal(metric_module._nearest_distances(a, b), want.min(axis=1))
-    assert np.array_equal(metric_module._nearest_distances(np.asfortranarray(a), b), want.min(axis=1))
+    assert np.array_equal(nearest, want.min(axis=1))
+    assert np.array_equal(nearest_f, want.min(axis=1))
+
+
+@pytest.mark.parametrize("n, d", [(900, 3), (2000, 8)])
+def test_self_distances_are_exactly_zero(n, d):
+    """Sizes above 2**21 elements, where distances once took a Gram route
+    that put a point about 1e-8 from itself."""
+    a = seeded_points(11, n, d)
+    assert hausdorff_distance(a, a) == 0.0
+    assert matching_distance(a, a) == 0.0
 
 
 def test_hausdorff_agrees_with_oracle():
@@ -334,6 +351,54 @@ def test_invariant_battery_flags_corruption():
     assert not rows["in-test-orthogonality"]
 
 
+def frozen_in_test_orthogonality(ids, coords, tests, ortho_tol):
+    """The in-test orthogonality row of `check_sample_invariants` before it
+    batched the tests by size: one Gram product per test; kept as reference."""
+    index = {x: i for i, x in enumerate(ids)}
+    thr = math.sin(ortho_tol)
+    worst = 0.0
+    for t in tests:
+        rowsel = coords[[index[x] for x in sorted(t)]]
+        g = rowsel @ rowsel.T
+        if len(rowsel) > 1:
+            off = np.abs(g[~np.eye(len(rowsel), dtype=bool)]).max()
+            worst = max(worst, float(off))
+    return ("in-test-orthogonality", worst <= thr, f"max |inner| {worst:.3e} vs {thr:.3e}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from([0.0, 1e-13, 1e-7]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_in_test_orthogonality_equals_frozen_loop(d, count, noise, seed):
+    """Tests of every size 1..d from one sample, with coordinates jittered
+    so that the worst inner product varies and, at 1e-7, fails the check."""
+    rng = np.random.default_rng(seed)
+    s = sample_frames(d, count, seed=seed % 1000)
+    coords = s.coords + noise * rng.standard_normal(s.coords.shape)
+    tests = tuple(
+        frozenset(rng.choice(sorted(t), size=int(rng.integers(1, d + 1)), replace=False))
+        for t in s.tests
+    )
+    rows = check_sample_invariants(s.ids, coords, tests, s.ortho_tol)
+    assert rows[-1] == frozen_in_test_orthogonality(s.ids, coords, tests, s.ortho_tol)
+
+
+def test_in_test_orthogonality_reports_worst_like_frozen_loop():
+    s = sample_frames(4, 50, seed=3)
+    coords = s.coords.copy()
+    coords[7] += 1e-6  # frame 1 loses orthogonality by about 1e-6
+    tests = s.tests + (frozenset(s.ids[:2]), frozenset(s.ids[4:5]))
+    rows = check_sample_invariants(s.ids, coords, tests, s.ortho_tol)
+    frozen = frozen_in_test_orthogonality(s.ids, coords, tests, s.ortho_tol)
+    assert rows[-1] == frozen
+    assert not frozen[1]
+    assert frozen[2].startswith("max |inner| 1.6")
+
+
 # -------------------------------------------------------------- tno radius
 
 
@@ -381,7 +446,7 @@ def test_orthogonal_pairs_match_brute_force(monkeypatch, rows_per_block):
     samples = [rotated_plane_frames(), sample_frames(3, 30, seed=5), sample_frames(4, 12, seed=6)]
     for s in samples:
         if rows_per_block is not None:  # None keeps the default budget
-            monkeypatch.setattr(metric_module, "_GRAM_BLOCK_ELEMENTS", rows_per_block * len(s.ids))
+            monkeypatch.setattr(metric_module, "_BLOCK_ELEMENTS", rows_per_block * len(s.ids))
         pairs = s.orthogonal_pair_indices
         assert pairs.shape[1] == 2
         assert [tuple(p) for p in pairs.tolist()] == brute_orthogonal_pairs(s)

@@ -252,8 +252,8 @@ def test_extend_basis_keeps_prefix_and_improves_coverage():
 
 
 def frozen_distances(a, b) -> np.ndarray:
-    """The exact route of `pairwise_distances` before its column kernel;
-    the inputs here stay below the size where the Gram route took over."""
+    """The expression `pairwise_distances` evaluated before its column
+    kernel; kept as the reference."""
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
