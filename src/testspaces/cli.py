@@ -23,12 +23,13 @@ from .core import (
     ParseError,
     TestSpace,
     TspError,
+    enumerate_events,
     load_test_space,
 )
 from .logic import (
-    _events_and_witness,
     build_logic,
     check_prop04,
+    is_algebraic,
     loads_oa,
     oa_to_test_space,
     roundtrip_logic,
@@ -106,9 +107,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_info(args) -> int:
     ts = _load_space(args.file)
-    # Over the cap this raises CapExceededError: exit 2, nothing on stdout.
-    events, witness = _events_and_witness(ts, args.cap)
-    algebraic = witness is None
+    # Over the cap these raise CapExceededError: exit 2, nothing on stdout.
+    events = enumerate_events(ts, args.cap)
+    algebraic, witness = is_algebraic(ts, args.cap)
     rows = [
         ("outcomes", len(ts.outcomes)),
         ("tests", len(ts.tests)),

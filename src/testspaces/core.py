@@ -132,6 +132,26 @@ class TestSpace:
         return _solve_states(self)
 
     @cached_property
+    def _events(self) -> tuple[Event, ...]:
+        """Every event in event_key order, enumerated once per instance."""
+        seen: dict[frozenset[str], int] = {}
+        for i, test in enumerate(self.tests):
+            members = sorted(test)
+            for r in range(len(members) + 1):
+                for combo in itertools.combinations(members, r):
+                    seen.setdefault(frozenset(combo), i)
+        return tuple(
+            Event(m, w) for m, w in sorted(seen.items(), key=lambda kv: event_key(kv[0]))
+        )
+
+    @cached_property
+    def _event_structure(self):
+        """logic._events_and_complements, once per instance; readers check the event cap first."""
+        from .logic import _events_and_complements
+
+        return _events_and_complements(self)
+
+    @cached_property
     def _df_components(self):
         """The dispersion-free states of each component, searched once per instance."""
         from .states import _search_components
@@ -226,25 +246,21 @@ def components(ts: TestSpace) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(tuple(outs), tuple(tests)) for outs, tests in groups.values()]
 
 
+def _check_event_cap(ts: TestSpace, cap: int) -> None:
+    needed = sum(2 ** len(test) for test in ts.tests)
+    if needed > cap:
+        raise CapExceededError("event enumeration too large", needed, cap)
+
+
 def enumerate_events(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> list[Event]:
     """All events (subsets of tests), deduplicated, in deterministic order.
 
     The pre-enumeration work bound is sum(2**len(test)); if it exceeds
-    `cap` a CapExceededError is raised before any enumeration happens.
+    `cap` a CapExceededError is raised, on every call, before the events
+    are read; a space enumerates them once.
     """
-    needed = sum(2 ** len(test) for test in ts.tests)
-    if needed > cap:
-        raise CapExceededError("event enumeration too large", needed, cap)
-    seen: dict[frozenset[str], int] = {}
-    for i, test in enumerate(ts.tests):
-        members = sorted(test)
-        for r in range(len(members) + 1):
-            for combo in itertools.combinations(members, r):
-                seen.setdefault(frozenset(combo), i)
-    return [
-        Event(m, w)
-        for m, w in sorted(seen.items(), key=lambda kv: event_key(kv[0]))
-    ]
+    _check_event_cap(ts, cap)
+    return list(ts._events)
 
 
 def complementary(ts: TestSpace, a: EventLike, b: EventLike) -> bool:

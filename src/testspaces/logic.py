@@ -19,7 +19,7 @@ import hashlib
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from .core import (
     TestSpace,
     TspError,
     ValidationError,
+    _check_event_cap,
     _lines,
-    enumerate_events,
-    event_key,
+    member_set,
 )
 
 
@@ -66,16 +66,16 @@ def _blocks(count: int, width: int):
         yield slice(start, start + step)
 
 
-def _events_and_complements(ts, cap):
-    """Events in event_key order, their complements, and each test's sub-events.
+def _events_and_complements(ts: TestSpace):
+    """(by_test, fibre, witness) over the events of ts, kept as ts._event_structure.
 
-    comp[k] holds the indices of the events complementary to event k, and
-    fibre[k] numbers that set among the distinct ones in order of first
-    appearance.  by_test[i][mask] is the index of the sub-event of test i
+    by_test[i][mask] is the index in ts._events of the sub-event of test i
     that `mask` picks from its sorted members, so the complement in that
-    test of the entry at `mask` sits at the reversed position.
+    test of the entry at `mask` sits at the reversed position.  fibre[k]
+    numbers the set of events complementary to event k among the distinct
+    ones, in order of first appearance.  The witness is is_algebraic's.
     """
-    events = enumerate_events(ts, cap)
+    events = ts._events
     index = {e.members: k for k, e in enumerate(events)}
     comp: list[set[int]] = [set() for _ in events]
     by_test = []
@@ -90,11 +90,11 @@ def _events_and_complements(ts, cap):
     comp = [frozenset(c) for c in comp]
     numbers: dict[frozenset[int], int] = {}
     fibre = [numbers.setdefault(c, len(numbers)) for c in comp]
-    return events, comp, fibre, by_test
+    return by_test, fibre, _algebraic_witness(events, comp, fibre)
 
 
-def _algebraic_witness(comp, fibre):
-    """Event indices (a, b, c) of the first failure of algebraicity, or None.
+def _algebraic_witness(events, comp, fibre):
+    """The events (A, B, C) of the first failure of algebraicity, or None.
 
     The space is algebraic exactly when all events that share a complement
     have the same complement set.  The witness is the first A in event
@@ -119,17 +119,8 @@ def _algebraic_witness(comp, fibre):
         for b in sorted({k for c in ca & bad for k in sharing[c]}):
             extra = comp[b] - ca
             if extra:
-                return a, b, min(extra)
+                return events[a], events[b], events[min(extra)]
     raise AssertionError("mixed complement without a failing pair")
-
-
-def _events_and_witness(ts: TestSpace, cap: int):
-    """The events and is_algebraic's witness (None when algebraic), from one enumeration."""
-    events, comp, fibre, _ = _events_and_complements(ts, cap)
-    witness = _algebraic_witness(comp, fibre)
-    if witness is None:
-        return events, None
-    return events, tuple(events[k] for k in witness)
 
 
 def is_algebraic(
@@ -140,7 +131,8 @@ def is_algebraic(
     The witness satisfies: A perspective to B, B complementary to C, but A
     not complementary to C.
     """
-    _events, witness = _events_and_witness(ts, cap)
+    _check_event_cap(ts, cap)  # on every call, before the stored result is read
+    witness = ts._event_structure[2]
     return witness is None, witness
 
 
@@ -262,34 +254,21 @@ def _verify_table(table, zero, one, what, names=None):
     return ocomp, leq
 
 
-class Logic:
-    """Immutable orthoalgebra of perspectivity classes; query-only."""
+class _SumTable:
+    """A finite orthoalgebra on the indices 0..n-1, verified on construction.
 
-    def __init__(self, classes, zero, one, osum, ocomp, leq):
-        self.classes: tuple[tuple[frozenset[str], ...], ...] = classes
-        self.zero: int = zero
-        self.one: int = one
-        self._table: np.ndarray = osum  # osum[p, q] = p + q, or -1 where undefined
-        self._ocomp: tuple[int, ...] = ocomp
-        self._leq = leq
-        self._class_of = {m: i for i, grp in enumerate(classes) for m in grp}
+    `_table[p, q]` is p + q, or -1 where undefined; `_ocomp` and `_leq` are
+    the orthocomplement and the natural order that _verify_table returns.
+    """
+
+    def __init__(self, table, zero: int, one: int, what: str, names=None):
+        self._ocomp, self._leq = _verify_table(table, zero, one, what, names)
+        self._table: np.ndarray = table
+        self.zero = zero
+        self.one = one
 
     def __len__(self) -> int:
-        return len(self.classes)
-
-    @property
-    def reps(self) -> tuple[frozenset[str], ...]:
-        """One canonical (minimal) representative event per class."""
-        return tuple(grp[0] for grp in self.classes)
-
-    def class_of(self, members) -> int:
-        from .core import member_set
-
-        m = member_set(members)
-        try:
-            return self._class_of[m]
-        except KeyError:
-            raise ValidationError(f"{sorted(m)} is not an event of this space") from None
+        return len(self._table)
 
     def osum_defined(self, p: int, q: int) -> bool:
         return bool(self._table[p, q] >= 0)
@@ -299,31 +278,32 @@ class Logic:
         return None if r < 0 else r
 
     def ocomp_of(self, p: int) -> int:
-        return self._ocomp[p]
+        return int(self._ocomp[p])
 
     def leq(self, p: int, q: int) -> bool:
         """p <= q in the natural order: some r has p + r = q."""
         return bool(self._leq[p, q])
 
-    def join(self, p: int, q: int) -> int | None:
-        ub = np.flatnonzero(self._leq[p] & self._leq[q])
-        if len(ub) == 0:
-            return None
-        least = ub[self._leq[np.ix_(ub, ub)].all(axis=1)]
-        return int(least[0]) if len(least) == 1 else None
-
-    def meet(self, p: int, q: int) -> int | None:
-        col = self._leq[:, p] & self._leq[:, q]
-        lb = np.flatnonzero(col)
-        if len(lb) == 0:
-            return None
-        greatest = lb[self._leq[np.ix_(lb, lb)].all(axis=0)]
-        return int(greatest[0]) if len(greatest) == 1 else None
-
     def sum_items(self) -> list[tuple[tuple[int, int], int]]:
         """Every defined sum as ((p, q), p + q), in (p, q) order."""
         ps, qs = np.nonzero(self._table >= 0)
         return list(zip(zip(ps.tolist(), qs.tolist()), self._table[ps, qs].tolist()))
+
+
+class Logic(_SumTable):
+    """Immutable orthoalgebra of perspectivity classes; query-only."""
+
+    def __init__(self, classes, zero: int, one: int, table):
+        super().__init__(table, zero, one, "logic construction")
+        self.classes: tuple[tuple[frozenset[str], ...], ...] = classes
+        self._class_of = {m: i for i, grp in enumerate(classes) for m in grp}
+
+    def class_of(self, members) -> int:
+        m = member_set(members)
+        try:
+            return self._class_of[m]
+        except KeyError:
+            raise ValidationError(f"{sorted(m)} is not an event of this space") from None
 
     def table_digest(self) -> str:
         """sha256 over the canonical serialization of the sum table."""
@@ -379,10 +359,10 @@ def build_logic(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> Logic:
     events and checked for representative independence, and the
     orthoalgebra axioms plus order properties are verified exhaustively.
     """
-    events, comp, fibre, by_test = _events_and_complements(ts, cap)
-    witness = _algebraic_witness(comp, fibre)
+    _check_event_cap(ts, cap)
+    by_test, fibre, witness = ts._event_structure
     if witness is not None:
-        raise NotAlgebraicError(tuple(events[k] for k in witness))
+        raise NotAlgebraicError(witness)
 
     # On an algebraic space two events are perspective exactly when their
     # complement sets coincide, so classes are the fibres of the complement
@@ -391,25 +371,24 @@ def build_logic(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> Logic:
     n = int(cls.max()) + 1
     _check_table_size(n)
     members: list[list[frozenset[str]]] = [[] for _ in range(n)]
-    for e, c in zip(events, fibre):
+    for e, c in zip(ts._events, fibre):
         members[c].append(e.members)
     classes = tuple(map(tuple, members))
     zero = int(cls[0])  # the empty event comes first
     one = int(cls[by_test[0][-1]])
 
     test_classes = [cls[row] for row in by_test]
-    table = _sum_table(n, test_classes)
-    ocomp, leq = _verify_table(table, zero, one, "logic construction")
+    logic = Logic(classes, zero, one, _sum_table(n, test_classes))
     # The orthocomplement must agree with the complement sets themselves.
     own = np.concatenate(test_classes)
     other = np.concatenate([row[::-1] for row in test_classes])
-    bad = other != ocomp[own]
+    bad = other != logic._ocomp[own]
     if bad.any():
         i = own[bad].min()
         raise AxiomViolationError(
             f"complements of class {i} scatter over {sorted(set(other[own == i].tolist()))}"
         )
-    return Logic(classes, zero, one, table, tuple(ocomp.tolist()), leq)
+    return logic
 
 
 @dataclass(frozen=True)
@@ -452,7 +431,7 @@ class _Bounds:
         return out
 
 
-def check_prop04(logic: Logic) -> Prop04Result:
+def check_prop04(logic: _SumTable) -> Prop04Result:
     """Evaluate three classically equivalent properties, independently.
 
     orthocoherent: every pairwise summable triple has a total sum.
@@ -474,9 +453,9 @@ def check_prop04(logic: Logic) -> Prop04Result:
     return Prop04Result(orthocoherent, osum_is_join, omp)
 
 
-def _is_orthomodular_poset(logic: Logic, up: _Bounds, down: _Bounds) -> bool:
+def _is_orthomodular_poset(logic: _SumTable, up: _Bounds, down: _Bounds) -> bool:
     leq = logic._leq
-    oc = np.array(logic._ocomp)
+    oc = logic._ocomp
     every = np.arange(len(oc))
     if (oc[oc] != every).any():
         return False
@@ -499,24 +478,23 @@ class OrthoalgebraTable:
     """A finite orthoalgebra given by an explicit partial sum table.
 
     Sums with zero and the symmetric closure are filled in automatically;
-    the axioms are verified on construction.
+    the axioms are verified on construction.  The table is held by index,
+    and the queries here translate element names through `elements`.
     """
 
     def __init__(self, elements: Iterable[str], zero: str, one: str,
                  sums: Iterable[tuple[str, str, str]]):
-        self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+        elements = tuple(elements)
+        if len(set(elements)) != len(elements):
             raise ValidationError("duplicate element names")
-        idx = {e: i for i, e in enumerate(self.elements)}
+        idx = {e: i for i, e in enumerate(elements)}
         for name in (zero, one):
             if name not in idx:
                 raise ValidationError(f"unknown element {name!r}")
         if zero == one:
             raise ValidationError("degenerate table: zero equals one")
-        n = len(self.elements)
+        n = len(elements)
         _check_table_size(n)
-        self.zero = zero
-        self.one = one
         table = np.full((n, n), -1, dtype=np.int32)
         for p, q, r in sums:
             for name in (p, q, r):
@@ -531,41 +509,40 @@ class OrthoalgebraTable:
         bad = np.flatnonzero((table[:, z] >= 0) & (table[:, z] != every))
         if len(bad):
             raise AxiomViolationError(
-                f"sum with zero must be the identity at {self.elements[bad[0]]!r}"
+                f"sum with zero must be the identity at {elements[bad[0]]!r}"
             )
         table[:, z] = table[z, :] = every
-        self._idx = idx
-        self._table = table
-        ocomp, _ = _verify_table(
-            table, z, idx[one], "orthoalgebra table", names=self.elements
-        )
-        self._ocomp = tuple(ocomp.tolist())
+        self._bind(elements, _SumTable(table, z, idx[one], "orthoalgebra table", elements))
+
+    def _bind(self, elements: tuple[str, ...], sums: _SumTable) -> None:
+        """Hold the verified table `sums` under the given element names."""
+        self.elements = elements
+        self.zero = elements[sums.zero]
+        self.one = elements[sums.one]
+        self._sums = sums
+        self._idx = {e: i for i, e in enumerate(elements)}
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def osum_of(self, p: str, q: str) -> str | None:
-        r = self._table[self._idx[p], self._idx[q]]
-        return None if r < 0 else self.elements[r]
+        r = self._sums.osum_of(self._idx[p], self._idx[q])
+        return None if r is None else self.elements[r]
 
     def ocomp_of(self, p: str) -> str:
-        return self.elements[self._ocomp[self._idx[p]]]
+        return self.elements[self._sums.ocomp_of(self._idx[p])]
 
     def sum_triples(self) -> list[tuple[str, str, str]]:
         els = self.elements
-        ps, qs = np.nonzero(self._table >= 0)
-        rs = self._table[ps, qs]
-        return sorted(
-            (els[p], els[q], els[r]) for p, q, r in zip(ps.tolist(), qs.tolist(), rs.tolist())
-        )
+        return sorted((els[p], els[q], els[r]) for (p, q), r in self._sums.sum_items())
 
 
 def loads_oa(text: str) -> OrthoalgebraTable:
     """Parse an orthoalgebra table: elements, zero, one, and sum lines."""
     elements: list[str] | None = None
     known: set[str] = set()
-    zero = one = None
+    bound: dict[str, str] = {}  # the zero and one lines
     sums: list[tuple[str, str, str]] = []
     stated: set[frozenset[str]] = set()
     for lineno, col, key, toks in _lines(text):
@@ -591,29 +568,22 @@ def loads_oa(text: str) -> OrthoalgebraTable:
         for tok, tcol in toks:
             if tok not in known:
                 raise ParseError(f"unknown element {tok!r}", lineno, tcol)
-        if key == "zero":
-            if zero is not None:
-                raise ParseError("second zero line", lineno, col)
-            zero = names[0]
-        elif key == "one":
-            if one is not None:
-                raise ParseError("second one line", lineno, col)
-            one = names[0]
-        else:
-            pair = frozenset(names[:2])  # singleton key for p == p lines
-            if pair in stated:
-                raise ParseError(
-                    f"duplicate sum for pair ({names[0]}, {names[1]})", lineno, col
-                )
-            stated.add(pair)
-            sums.append((names[0], names[1], names[2]))
+        if key != "sum":
+            if key in bound:
+                raise ParseError(f"second {key} line", lineno, col)
+            bound[key] = names[0]
+            continue
+        pair = frozenset(names[:2])  # singleton key for p == p lines
+        if pair in stated:
+            raise ParseError(f"duplicate sum for pair ({names[0]}, {names[1]})", lineno, col)
+        stated.add(pair)
+        sums.append((names[0], names[1], names[2]))
     if elements is None:
         raise ParseError("missing elements line", 1, 1)
-    if zero is None:
-        raise ParseError("missing zero line", 1, 1)
-    if one is None:
-        raise ParseError("missing one line", 1, 1)
-    return OrthoalgebraTable(elements, zero, one, sums)
+    for key in ("zero", "one"):
+        if key not in bound:
+            raise ParseError(f"missing {key} line", 1, 1)
+    return OrthoalgebraTable(elements, bound["zero"], bound["one"], sums)
 
 
 def boolean_oa(n_atoms: int) -> OrthoalgebraTable:
@@ -650,14 +620,13 @@ def mo2_oa() -> OrthoalgebraTable:
 
 
 def logic_to_oa(logic: Logic, prefix: str = "c") -> OrthoalgebraTable:
-    """Re-present a constructed logic as an abstract table (elements c0, c1, ...)."""
-    els = [f"{prefix}{i}" for i in range(len(logic))]
-    sums = [
-        (els[p], els[q], els[r])
-        for (p, q), r in logic.sum_items()
-        if p <= q and logic.zero not in (p, q)
-    ]
-    return OrthoalgebraTable(els, els[logic.zero], els[logic.one], sums)
+    """Re-present a constructed logic as an abstract table (elements c0, c1, ...).
+
+    The table is the logic's own, verified when the logic was built.
+    """
+    oa = OrthoalgebraTable.__new__(OrthoalgebraTable)
+    oa._bind(tuple(f"{prefix}{i}" for i in range(len(logic))), logic)
+    return oa
 
 
 def oa_to_test_space(oa: OrthoalgebraTable) -> TestSpace:
@@ -700,28 +669,22 @@ def roundtrip_logic(oa: OrthoalgebraTable) -> dict[int, str] | None:
     Returns a map from class index to element name, or None if no structure
     preserving bijection arises from folding class representatives.
     """
-    ts = oa_to_test_space(oa)
-    logic = build_logic(ts)
+    logic = build_logic(oa_to_test_space(oa))
     if len(logic) != oa.size:
         return None
-    phi: dict[int, str] = {}
-    for c, grp in enumerate(logic.classes):
+    phi: list[str] = []
+    for grp in logic.classes:
         vals = {fold_osum(oa, m) for m in grp}
         if len(vals) != 1 or None in vals:
             return None
-        phi[c] = vals.pop()
-    if set(phi.values()) != set(oa.elements):
+        phi.append(vals.pop())
+    f = np.array([oa._idx[x] for x in phi], dtype=np.int32)
+    sums = oa._sums
+    if len(set(phi)) != len(phi) or f[logic.zero] != sums.zero or f[logic.one] != sums.one:
         return None
-    if phi[logic.zero] != oa.zero or phi[logic.one] != oa.one:
-        return None
-    for p in range(len(logic)):
-        if oa.ocomp_of(phi[p]) != phi[logic.ocomp_of(p)]:
-            return None
-        for q in range(len(logic)):
-            t = logic.osum_of(p, q)
-            s = oa.osum_of(phi[p], phi[q])
-            if (t is None) != (s is None):
-                return None
-            if t is not None and phi[t] != s:
-                return None
-    return phi
+    # One comparison: phi(p + q) = phi(p) + phi(q) with both sides undefined
+    # together, and phi(p') = phi(p)' in the last column.
+    t = logic._table
+    mapped = np.column_stack((np.where(t >= 0, f[t], -1), f[logic._ocomp]))
+    target = np.column_stack((sums._table[np.ix_(f, f)], sums._ocomp[f]))
+    return dict(enumerate(phi)) if np.array_equal(mapped, target) else None

@@ -96,8 +96,11 @@ def _orthogonal_pairs(pts: np.ndarray, thr: float):
     order, one array per row block of the Gram matrix that holds any."""
     n = len(pts)
     block = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    gram = np.empty((min(block, n), n))  # reused: a new block each step page-faults anew
     for s in range(0, n, block):
-        ii, jj = np.nonzero(np.abs(pts[s : s + block] @ pts.T) <= thr)
+        g = gram[: min(block, n - s)]
+        np.matmul(pts[s : s + block], pts.T, out=g)
+        ii, jj = np.nonzero(np.abs(g, out=g) <= thr)
         ii = ii + s
         keep = ii < jj
         if keep.any():
@@ -324,11 +327,22 @@ def _hausdorff(dist: np.ndarray) -> float:
 
 
 def hausdorff_distance(a, b) -> float:
+    """_hausdorff(pairwise_distances(a, b)), from the least squared distances
+    of each row block of b, without holding the whole matrix."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         raise ValidationError("hausdorff distance needs nonempty point sets")
-    return _hausdorff(pairwise_distances(a, b))
+    if a.shape[1] != b.shape[1]:
+        raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
+    rows = max(1, _BLOCK_ELEMENTS // max(a.size, 1))
+    to_b = np.full(len(a), np.inf)  # from each point of a to b
+    to_a = np.empty(len(b))  # from each point of b to a
+    for s in range(0, len(b), rows):
+        block = _squared_distances(a, b[s : s + rows])
+        np.minimum(to_b, block.min(axis=0), out=to_b)
+        block.min(axis=1, out=to_a[s : s + rows])
+    return float(max(np.sqrt(to_b).max(), np.sqrt(to_a).max()))
 
 
 def _augment(adj: np.ndarray, row_of: np.ndarray, col_of: np.ndarray) -> bool:
@@ -363,15 +377,20 @@ def _augment(adj: np.ndarray, row_of: np.ndarray, col_of: np.ndarray) -> bool:
 def _bottleneck(dist: np.ndarray) -> float:
     """The least entry of `dist` whose threshold graph has a perfect matching.
 
-    Every threshold the binary search tries above an infeasible one starts
-    from the matching found there, which is valid at any larger threshold;
-    a free row without an augmenting path rules out a perfect matching
-    whatever matching it starts from, so the answer does not depend on it.
+    No such entry lies below the Hausdorff value h, itself an entry, so h
+    is tried first.  Every threshold the binary search over the larger
+    entries tries above an infeasible one starts from the matching found
+    there, which is valid at any larger threshold; a free row without an
+    augmenting path rules out a perfect matching whatever matching it
+    starts from, so the answer does not depend on it.
     """
-    values = np.unique(dist)
     n = len(dist)
     row_of = np.full(n, -1)  # the row matched to each column
     col_of = np.full(n, -1)  # the column matched to each row
+    h = _hausdorff(dist)
+    if _augment(dist <= h, row_of, col_of):
+        return h
+    values = np.unique(dist[dist > h])
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from functools import cached_property
 from unittest import mock
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from testspaces.core import (
     ParseError,
     TestSpace,
     ValidationError,
+    enumerate_events,
     load_test_space,
 )
 from testspaces.logic import (
@@ -357,10 +359,8 @@ TABLE_EDITS = st.lists(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(base=st.sampled_from(["boolean-3", "mo2"]), edits=TABLE_EDITS)
-def test_table_verification_matches_axiom_oracle(base, edits):
-    oa = boolean_oa(3) if base == "boolean-3" else mo2_oa()
+def edited_sums(oa, edits):
+    """The stated sums of `oa` (no zero, p <= q) after the drawn edits."""
     els = oa.elements
     sums = [t for t in oa.sum_triples() if oa.zero not in t[:2] and t[0] <= t[1]]
     for kind, i, j, k in edits:
@@ -371,6 +371,15 @@ def test_table_verification_matches_axiom_oracle(base, edits):
             sums[i % len(sums)] = (p, q, els[k % len(els)])
         elif kind == "add":
             sums.append((els[i % len(els)], els[j % len(els)], els[k % len(els)]))
+    return sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(["boolean-3", "mo2"]), edits=TABLE_EDITS)
+def test_table_verification_matches_axiom_oracle(base, edits):
+    oa = boolean_oa(3) if base == "boolean-3" else mo2_oa()
+    els = oa.elements
+    sums = edited_sums(oa, edits)
     # The first violation reported must not depend on the block size.
     verdicts = set()
     for block in (3, logic_module._BLOCK):
@@ -399,3 +408,167 @@ def test_dense_table_cap_is_checked_before_allocating():
     els = [f"e{i}" for i in range(DENSE_TABLE_CAP + 1)]
     with pytest.raises(CapExceededError):
         OrthoalgebraTable(els, els[0], els[1], [])
+
+
+# ------------------------------------------------ one sum-table type
+
+
+def frozen_roundtrip(oa, ts):
+    """roundtrip_logic with its old pair loop, on the induced space `ts`;
+    kept as the reference."""
+    logic = build_logic(ts)
+    if len(logic) != oa.size:
+        return None
+    phi = {}
+    for c, grp in enumerate(logic.classes):
+        vals = {fold_osum(oa, m) for m in grp}
+        if len(vals) != 1 or None in vals:
+            return None
+        phi[c] = vals.pop()
+    if set(phi.values()) != set(oa.elements):
+        return None
+    if phi[logic.zero] != oa.zero or phi[logic.one] != oa.one:
+        return None
+    for p in range(len(logic)):
+        if oa.ocomp_of(phi[p]) != phi[logic.ocomp_of(p)]:
+            return None
+        for q in range(len(logic)):
+            t = logic.osum_of(p, q)
+            s = oa.osum_of(phi[p], phi[q])
+            if (t is None) != (s is None):
+                return None
+            if t is not None and phi[t] != s:
+                return None
+    return phi
+
+
+def frozen_logic_to_oa(logic, prefix="c"):
+    """logic_to_oa when it wrote out name triples for a second check; kept
+    as the reference."""
+    els = [f"{prefix}{i}" for i in range(len(logic))]
+    sums = [
+        (els[p], els[q], els[r])
+        for (p, q), r in logic.sum_items()
+        if p <= q and logic.zero not in (p, q)
+    ]
+    return OrthoalgebraTable(els, els[logic.zero], els[logic.one], sums)
+
+
+def table_facts(oa):
+    return (oa.elements, oa.zero, oa.one, oa.size, oa.sum_triples(),
+            [oa.ocomp_of(e) for e in oa.elements])
+
+
+def relabelled(ts, rng):
+    """ts with its outcome names permuted, so that folding the classes of
+    its logic may give a map that is not an isomorphism, or no map."""
+    names = list(ts.outcomes)
+    if rng.random() < 0.5:
+        rng.shuffle(names)
+    else:  # one swap keeps most of the map
+        i, j = rng.randrange(len(names)), rng.randrange(len(names))
+        names[i], names[j] = names[j], names[i]
+    rename = dict(zip(ts.outcomes, names))
+    return TestSpace.build(names, [{rename[x] for x in t} for t in ts.tests])
+
+
+def assert_roundtrip_as_frozen(oa, ts=None):
+    """roundtrip_logic(oa) == the frozen loop, on the induced space or on `ts`."""
+    want = frozen_roundtrip(oa, oa_to_test_space(oa) if ts is None else ts)
+    if ts is None:
+        got = roundtrip_logic(oa)
+    else:
+        with mock.patch.object(logic_module, "oa_to_test_space", lambda _oa: ts):
+            got = roundtrip_logic(oa)
+    assert got == want
+    return got
+
+
+def reference_tables(spaces):
+    tables = [logic_to_oa(build_logic(spaces[name])) for name in LOGIC_SIZES]
+    return tables + [boolean_oa(n) for n in range(1, 6)] + [mo2_oa()]
+
+
+def test_roundtrip_equals_frozen_loop_on_reference_tables(spaces):
+    rng = random.Random(0)
+    found = set()
+    for oa in reference_tables(spaces):
+        assert assert_roundtrip_as_frozen(oa) is not None
+        for _ in range(6):
+            got = assert_roundtrip_as_frozen(oa, relabelled(oa_to_test_space(oa), rng))
+            found.add(got is None)
+    assert found == {True, False}  # both answers are compared
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from(["boolean-3", "mo2"]),
+    edits=TABLE_EDITS,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_roundtrip_equals_frozen_loop_on_edited_tables(base, edits, seed):
+    oa = boolean_oa(3) if base == "boolean-3" else mo2_oa()
+    try:
+        oa = OrthoalgebraTable(oa.elements, oa.zero, oa.one, edited_sums(oa, edits))
+    except AxiomViolationError:
+        return
+    assert_roundtrip_as_frozen(oa)
+    assert_roundtrip_as_frozen(oa, relabelled(oa_to_test_space(oa), random.Random(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=20_000))
+def test_logic_to_oa_equals_frozen_path(seed):
+    ts = random_space(seed)
+    if not is_algebraic(ts)[0]:
+        return
+    logic = build_logic(ts)
+    assert table_facts(logic_to_oa(logic)) == table_facts(frozen_logic_to_oa(logic))
+    assert table_facts(logic_to_oa(logic, "x")) == table_facts(frozen_logic_to_oa(logic, "x"))
+
+
+def test_logic_to_oa_equals_frozen_path_on_corpus(spaces):
+    for name in LOGIC_SIZES:
+        logic = build_logic(spaces[name])
+        assert table_facts(logic_to_oa(logic)) == table_facts(frozen_logic_to_oa(logic)), name
+
+
+def counted_enumeration(calls):
+    """TestSpace._events, recording each space it enumerates."""
+    enumerate_once = TestSpace._events.func
+    counted = cached_property(lambda ts: calls.append(ts) or enumerate_once(ts))
+    counted.__set_name__(TestSpace, "_events")
+    return mock.patch.object(TestSpace, "_events", counted)
+
+
+def test_is_algebraic_then_build_logic_enumerate_the_events_once(spaces):
+    """The events, and their complements and witness, once per space."""
+    calls = []
+    structure = mock.patch.object(
+        logic_module, "_events_and_complements", wraps=logic_module._events_and_complements
+    )
+    with counted_enumeration(calls), structure as complements:
+        ts = load_test_space(corpus.gen("glued-pair"))
+        assert is_algebraic(ts) == (True, None)
+        logic = build_logic(ts)
+        events = enumerate_events(ts)
+        assert is_algebraic(ts) == (True, None)
+        bad = TestSpace.build(PATH5.outcomes, PATH5.tests)
+        _ok, witness = is_algebraic(bad)
+        with pytest.raises(NotAlgebraicError) as exc:
+            build_logic(bad)
+    assert calls == [ts, bad]
+    assert [c.args for c in complements.call_args_list] == [(ts,), (bad,)]
+    assert exc.value.counterexample == witness
+    assert len(events) == len(enumerate_events(spaces["glued-pair"]))
+    assert logic.table_digest() == build_logic(spaces["glued-pair"]).table_digest()
+
+
+def test_smaller_cap_after_larger_still_raises():
+    ts = load_test_space(corpus.gen("classical-3"))  # 2**3 = 8 events to enumerate
+    assert is_algebraic(ts, cap=8)[0]
+    build_logic(ts, cap=8)
+    for call in (is_algebraic, build_logic, enumerate_events):
+        with pytest.raises(CapExceededError) as exc:
+            call(ts, cap=7)
+        assert (exc.value.needed, exc.value.cap) == (8, 7)

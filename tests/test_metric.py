@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -250,10 +251,12 @@ def test_exact_distances_equal_frozen_norm(d, n, m, scale, seed, block_elements)
         # the nearest distances take the minimum before the square root
         nearest = metric_module._nearest_distances(a, b)
         nearest_f = metric_module._nearest_distances(np.asfortranarray(a), b)
+        hausdorff = hausdorff_distance(a, b)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(nearest, want.min(axis=1))
     assert np.array_equal(nearest_f, want.min(axis=1))
+    assert hausdorff == metric_module._hausdorff(want)
 
 
 @pytest.mark.parametrize("n, d", [(900, 3), (2000, 8)])
@@ -263,6 +266,27 @@ def test_self_distances_are_exactly_zero(n, d):
     a = seeded_points(11, n, d)
     assert hausdorff_distance(a, a) == 0.0
     assert matching_distance(a, a) == 0.0
+
+
+def test_matching_of_a_set_with_itself_takes_one_matching():
+    """The Hausdorff value 0 is feasible, so the threshold search never starts."""
+    a = seeded_points(11, 2000, 8)
+    with mock.patch.object(metric_module, "_augment", wraps=metric_module._augment) as augment:
+        assert matching_distance(a, a) == 0.0
+    assert augment.call_count == 1
+
+
+def test_hausdorff_reduces_blocks_without_the_whole_matrix():
+    a, b = seeded_points(3, 2000), seeded_points(4, 2000)
+    want = metric_module._hausdorff(pairwise_distances(a, b))
+    tracemalloc.start()
+    try:
+        got = hausdorff_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2000 * 2000 * 8 // 2  # half of the float64 matrix
 
 
 def test_hausdorff_agrees_with_oracle():
