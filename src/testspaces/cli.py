@@ -27,12 +27,12 @@ from .core import (
     load_test_space,
 )
 from .logic import (
+    _roundtrip,
     build_logic,
     check_prop04,
     is_algebraic,
     loads_oa,
     oa_to_test_space,
-    roundtrip_logic,
 )
 from .metric import (
     DEFAULT_ORTHO_TOL,
@@ -190,7 +190,7 @@ def _cmd_oa(args) -> int:
         ts = oa_to_test_space(oa)
         rows.append(("induced_outcomes", len(ts.outcomes)))
         rows.append(("induced_tests", len(ts.tests)))
-        mapping = roundtrip_logic(oa)
+        mapping = _roundtrip(oa, ts)
         ok = mapping is not None
         rows.append(("roundtrip", ok))
     _emit(rows, args.format)

@@ -54,25 +54,27 @@ class CapExceededError(TspError):
         self.cap = cap
 
 
-# Line boundaries are exactly those of str.splitlines().
-_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
-                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]|\Z)")
 _TOKEN = re.compile(r"\S+")
 
 
 def _lines(text: str):
-    """Yield `(line, column, directive, [(token, column), ...])` per line.
+    """Yield `(line number, line, directive, [token, ...])` per line.
 
-    The shared lexer of every text format: `#` starts a comment anywhere,
-    tokens are separated by whitespace, lines left without tokens are
-    skipped, and positions are 1-based.
+    The shared lexer of every text format: lines are those of
+    str.splitlines(), `#` starts a comment anywhere, tokens are separated by
+    whitespace, and lines left without tokens are skipped.  `line` is the
+    line without its comment, for `_column` on the error path.
     """
-    for lineno, match in enumerate(_LINE.finditer(text), start=1):
-        content = match.group(1).split("#", 1)[0]
-        toks = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(content)]
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        toks = line.split()
         if toks:
-            key, col = toks[0]
-            yield lineno, col, key, toks[1:]
+            yield lineno, line, toks[0], toks[1:]
+
+
+def _column(line: str, k: int) -> int:
+    """The 1-based column of token k of a lexed line (0 is the directive)."""
+    return next(itertools.islice(_TOKEN.finditer(line), k, None)).start() + 1
 
 
 @dataclass(frozen=True)
@@ -304,42 +306,51 @@ def load_test_space(text: str) -> TestSpace:
     outcomes: set[str] | None = None
     tests: list[frozenset[str]] = []
     test_lines: dict[frozenset[str], int] = {}
-    for lineno, col, key, toks in _lines(text):
+    for lineno, line, key, toks in _lines(text):
         if key == "outcomes":
             if outcomes is not None:
-                raise ParseError("second outcomes line", lineno, col)
+                raise ParseError("second outcomes line", lineno, _column(line, 0))
             if not toks:
-                raise ParseError("outcomes line lists no ids", lineno, col)
-            outcomes = set()
-            for tok, tcol in toks:
-                if tok in outcomes:
-                    raise ParseError(f"duplicate outcome id {tok!r}", lineno, tcol)
-                outcomes.add(tok)
+                raise ParseError("outcomes line lists no ids", lineno, _column(line, 0))
+            outcomes = set(toks)
+            if len(outcomes) != len(toks):  # find the first repeat
+                seen: set[str] = set()
+                for k, tok in enumerate(toks, start=1):
+                    if tok in seen:
+                        raise ParseError(
+                            f"duplicate outcome id {tok!r}", lineno, _column(line, k)
+                        )
+                    seen.add(tok)
         elif key == "test":
             if outcomes is None:
-                raise ParseError("test line before outcomes line", lineno, col)
+                raise ParseError("test line before outcomes line", lineno, _column(line, 0))
             if not toks:
-                raise ParseError("empty test", lineno, col)
-            members: set[str] = set()
-            for tok, tcol in toks:
-                if tok not in outcomes:
-                    raise ParseError(f"unknown outcome id {tok!r}", lineno, tcol)
-                if tok in members:
-                    raise ParseError(
-                        f"outcome id {tok!r} repeated within a test", lineno, tcol
-                    )
-                members.add(tok)
-            fs = frozenset(members)
+                raise ParseError("empty test", lineno, _column(line, 0))
+            fs = frozenset(toks)
+            if len(fs) != len(toks) or not fs <= outcomes:  # find the first bad id
+                members: set[str] = set()
+                for k, tok in enumerate(toks, start=1):
+                    if tok not in outcomes:
+                        raise ParseError(
+                            f"unknown outcome id {tok!r}", lineno, _column(line, k)
+                        )
+                    if tok in members:
+                        raise ParseError(
+                            f"outcome id {tok!r} repeated within a test",
+                            lineno,
+                            _column(line, k),
+                        )
+                    members.add(tok)
             if fs in test_lines:
                 raise ParseError(
                     f"duplicate test (same outcome set as line {test_lines[fs]})",
                     lineno,
-                    col,
+                    _column(line, 0),
                 )
             test_lines[fs] = lineno
             tests.append(fs)
         else:
-            raise ParseError(f"unknown directive {key!r}", lineno, col)
+            raise ParseError(f"unknown directive {key!r}", lineno, _column(line, 0))
     if outcomes is None:
         raise ParseError("missing outcomes line", 1, 1)
     if not tests:

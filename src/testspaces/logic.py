@@ -33,6 +33,7 @@ from .core import (
     TspError,
     ValidationError,
     _check_event_cap,
+    _column,
     _lines,
     member_set,
 )
@@ -545,37 +546,38 @@ def loads_oa(text: str) -> OrthoalgebraTable:
     bound: dict[str, str] = {}  # the zero and one lines
     sums: list[tuple[str, str, str]] = []
     stated: set[frozenset[str]] = set()
-    for lineno, col, key, toks in _lines(text):
-        names = [t for t, _ in toks]
+    for lineno, line, key, names in _lines(text):
         if key == "elements":
             if elements is not None:
-                raise ParseError("second elements line", lineno, col)
+                raise ParseError("second elements line", lineno, _column(line, 0))
             if not names:
-                raise ParseError("elements line lists no names", lineno, col)
+                raise ParseError("elements line lists no names", lineno, _column(line, 0))
             known = set(names)
             if len(known) != len(names):
-                raise ParseError("duplicate element name", lineno, col)
+                raise ParseError("duplicate element name", lineno, _column(line, 0))
             elements = names
             continue
         if key not in ("zero", "one", "sum"):
-            raise ParseError(f"unknown directive {key!r}", lineno, col)
+            raise ParseError(f"unknown directive {key!r}", lineno, _column(line, 0))
         if elements is None:
-            raise ParseError(f"{key} line before elements line", lineno, col)
+            raise ParseError(f"{key} line before elements line", lineno, _column(line, 0))
         if key == "sum" and len(names) != 3:
-            raise ParseError("sum line needs three names: p q r", lineno, col)
+            raise ParseError("sum line needs three names: p q r", lineno, _column(line, 0))
         if key != "sum" and len(names) != 1:
-            raise ParseError(f"{key} line needs exactly one name", lineno, col)
-        for tok, tcol in toks:
+            raise ParseError(f"{key} line needs exactly one name", lineno, _column(line, 0))
+        for k, tok in enumerate(names, start=1):
             if tok not in known:
-                raise ParseError(f"unknown element {tok!r}", lineno, tcol)
+                raise ParseError(f"unknown element {tok!r}", lineno, _column(line, k))
         if key != "sum":
             if key in bound:
-                raise ParseError(f"second {key} line", lineno, col)
+                raise ParseError(f"second {key} line", lineno, _column(line, 0))
             bound[key] = names[0]
             continue
         pair = frozenset(names[:2])  # singleton key for p == p lines
         if pair in stated:
-            raise ParseError(f"duplicate sum for pair ({names[0]}, {names[1]})", lineno, col)
+            raise ParseError(
+                f"duplicate sum for pair ({names[0]}, {names[1]})", lineno, _column(line, 0)
+            )
         stated.add(pair)
         sums.append((names[0], names[1], names[2]))
     if elements is None:
@@ -632,24 +634,33 @@ def logic_to_oa(logic: Logic, prefix: str = "c") -> OrthoalgebraTable:
 def oa_to_test_space(oa: OrthoalgebraTable) -> TestSpace:
     """Outcomes are the nonzero elements; tests are the subsets summing to one.
 
-    Subsets are folded in element order; by the verified associativity and
-    commutativity the result does not depend on the order chosen.
+    Subsets are folded in element order on the index-level table; by the
+    verified associativity and commutativity the result does not depend on
+    the order chosen.
     """
-    xs = [e for e in oa.elements if e != oa.zero]
-    tests: list[frozenset[str]] = []
+    sums = oa._sums
+    zero, one = sums.zero, sums.one
+    # Per element p, the defined sums p + q over nonzero q, in index order.
+    plus: list[list[tuple[int, int]]] = [[] for _ in range(len(sums))]
+    for (p, q), r in sums.sum_items():
+        if q != zero:
+            plus[p].append((q, r))
+    found: list[tuple[int, ...]] = []
 
-    def extend(start: int, acc: str, chosen: tuple[str, ...]):
-        if acc == oa.one:
-            tests.append(frozenset(chosen))
+    def extend(acc: int, last: int, chosen: tuple[int, ...]):
+        if acc == one:
+            found.append(chosen)
             return  # nothing nonzero can be added past one
-        for i in range(start, len(xs)):
-            nxt = oa.osum_of(acc, xs[i])
-            if nxt is not None:
-                extend(i + 1, nxt, chosen + (xs[i],))
+        for q, r in plus[acc]:
+            if q > last:
+                extend(r, q, chosen + (q,))
 
-    extend(0, oa.zero, ())
+    extend(zero, -1, ())
+    els = oa.elements
+    tests = [frozenset(els[p] for p in chosen) for chosen in found]
     return TestSpace.build(
-        sorted(xs), sorted(tests, key=lambda t: (len(t), tuple(sorted(t))))
+        sorted(e for e in els if e != oa.zero),
+        sorted(tests, key=lambda t: (len(t), tuple(sorted(t)))),
     )
 
 
@@ -669,7 +680,12 @@ def roundtrip_logic(oa: OrthoalgebraTable) -> dict[int, str] | None:
     Returns a map from class index to element name, or None if no structure
     preserving bijection arises from folding class representatives.
     """
-    logic = build_logic(oa_to_test_space(oa))
+    return _roundtrip(oa, oa_to_test_space(oa))
+
+
+def _roundtrip(oa: OrthoalgebraTable, ts: TestSpace) -> dict[int, str] | None:
+    """roundtrip_logic(oa), given its induced space ts = oa_to_test_space(oa)."""
+    logic = build_logic(ts)
     if len(logic) != oa.size:
         return None
     phi: list[str] = []

@@ -24,6 +24,7 @@ from .core import (
     TspError,
     UnknownOutcomeError,
     ValidationError,
+    _column,
     _lines,
     dump_test_space,
     load_test_space,
@@ -201,39 +202,40 @@ def basic_open(centers, radius: float) -> VietorisBasicOpen:
     return VietorisBasicOpen(tuple((c, radius) for c in pts))
 
 
-def _floats(toks, lineno: int, what: str) -> list[float]:
+def _floats(toks: list[str], lineno: int, line: str, first: int, what: str) -> list[float]:
+    """The tokens as floats; `first` is the index of toks[0] on its line."""
     out = []
-    for tok, col in toks:
+    for k, tok in enumerate(toks, start=first):
         try:
             out.append(float(tok))
         except ValueError:
-            raise ParseError(f"bad {what} {tok!r}", lineno, col) from None
+            raise ParseError(f"bad {what} {tok!r}", lineno, _column(line, k)) from None
     return out
 
 
 def load_basis(text: str) -> tuple[VietorisBasicOpen, ...]:
     """Parse basis text: `open` starts a basic open, `ball <r> <x1> ... <xd>`
     adds a ball to the current one."""
-    opens: list[tuple[int, int, list[tuple[list[float], float]]]] = []
-    for lineno, col, key, toks in _lines(text):
+    opens: list[tuple[int, str, list[tuple[list[float], float]]]] = []
+    for lineno, line, key, toks in _lines(text):
         if key == "open":
             if toks:
-                raise ParseError("open line takes no arguments", lineno, toks[0][1])
-            opens.append((lineno, col, []))
+                raise ParseError("open line takes no arguments", lineno, _column(line, 1))
+            opens.append((lineno, line, []))
         elif key == "ball":
             if not opens:
-                raise ParseError("ball before any open line", lineno, col)
+                raise ParseError("ball before any open line", lineno, _column(line, 0))
             if len(toks) < 2:
-                raise ParseError("ball needs a radius and coordinates", lineno, col)
-            radius, *center = _floats(toks, lineno, "number")
+                raise ParseError("ball needs a radius and coordinates", lineno, _column(line, 0))
+            radius, *center = _floats(toks, lineno, line, 1, "number")
             opens[-1][2].append((center, radius))
         else:
-            raise ParseError(f"unknown directive {key!r}", lineno, col)
+            raise ParseError(f"unknown directive {key!r}", lineno, _column(line, 0))
     if not opens:
         raise ParseError("basis needs at least one open with balls", 1, 1)
-    for lineno, col, balls in opens:
+    for lineno, line, balls in opens:
         if not balls:
-            raise ParseError("open without balls", lineno, col)
+            raise ParseError("open without balls", lineno, _column(line, 0))
     return tuple(VietorisBasicOpen(tuple(balls)) for _, _, balls in opens)
 
 
@@ -611,20 +613,20 @@ def parse_coords(text: str) -> dict[str, tuple[float, ...]]:
     """Parse sidecar lines `outcome <id> <c1> ... <cd>`."""
     out: dict[str, tuple[float, ...]] = {}
     dim = None
-    for lineno, col, key, toks in _lines(text):
+    for lineno, line, key, toks in _lines(text):
         if key != "outcome":
-            raise ParseError(f"unknown directive {key!r}", lineno, col)
+            raise ParseError(f"unknown directive {key!r}", lineno, _column(line, 0))
         if len(toks) < 2:
-            raise ParseError("outcome line needs an id and coordinates", lineno, col)
-        (ident, icol), *values = toks
+            raise ParseError("outcome line needs an id and coordinates", lineno, _column(line, 0))
+        ident, *values = toks
         if ident in out:
-            raise ParseError(f"duplicate coordinates for {ident!r}", lineno, icol)
-        vals = _floats(values, lineno, "coordinate")
+            raise ParseError(f"duplicate coordinates for {ident!r}", lineno, _column(line, 1))
+        vals = _floats(values, lineno, line, 2, "coordinate")
         if dim is None:
             dim = len(vals)
         elif len(vals) != dim:
             raise ParseError(
-                f"expected {dim} coordinates, got {len(vals)}", lineno, values[0][1]
+                f"expected {dim} coordinates, got {len(vals)}", lineno, _column(line, 2)
             )
         out[ident] = tuple(vals)
     if not out:

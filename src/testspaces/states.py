@@ -1,10 +1,12 @@
 """States on test spaces: probability weights summing to one on every test.
 
 Exact rational states are found (or refuted, with a checkable certificate)
-by a phase-one simplex over Fractions.  Dispersion-free states are the 0/1
-weights; a space is unital/dispersion-free-complete when every outcome gets
-weight 1 under some such state.  Both are solved once per connected
-component of the space and kept on the TestSpace instance.  Density matrices induce float states on
+by a fraction-free phase-one simplex: its rows are sparse integer rows with
+one denominator each, and Fractions are built only for the values and
+duals it returns.  Dispersion-free states are the 0/1 weights; a space is
+unital/dispersion-free-complete when every outcome gets weight 1 under some
+such state.  Both are solved once per connected component of the space and
+kept on the TestSpace instance.  Density matrices induce float states on
 metrically sampled spaces through the quadratic form x -> <Wx, x>.
 """
 
@@ -14,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -98,9 +101,19 @@ def extend_to_event(state: State, event: EventLike):
 def _phase1_simplex(n: int, tests: Sequence[Sequence[int]]):
     """Exact phase-one simplex for {w >= 0, per-test sums = 1} on one component.
 
-    The columns are the n outcome variables, then one artificial per test;
-    row i holds test i, given as its outcome columns.  Pivots follow
-    Bland's rule and touch only the nonzero columns of the pivot row.
+    The columns are the n outcome variables, then one artificial per test,
+    then the right-hand side; row i < m holds test i, given as its outcome
+    columns, and row m the phase-one reduced costs.  The tableau is
+    fraction-free, as in Bareiss's integer-preserving elimination (Math.
+    Comp. 22, 1968), but with one denominator per row: each row is a sparse
+    map from column to a nonzero int over one positive int denominator,
+    divided through by the gcd of its entries after every change.  A
+    column-to-rows index of the nonzeros lets the ratio test and the
+    elimination visit only the rows that meet the entering column.  Pivots
+    follow Bland's rule (Math. Oper. Res. 2, 1977) with the ratios compared
+    by cross multiplication, so they are the pivots of the same simplex
+    over Fractions; Fractions are built only for the output.
+
     Returns (values, duals): the n outcome values when the phase-one
     optimum is zero (else None), and per test its phase-one dual
     y_i = 1 - (reduced cost of its artificial).  On an infeasible component
@@ -108,61 +121,88 @@ def _phase1_simplex(n: int, tests: Sequence[Sequence[int]]):
     while sum(y) > 0, which refutes feasibility over exact arithmetic.
     """
     m = len(tests)
-    cols = n + m  # the right-hand side sits in column `cols`
-    rows = []
+    rhs = n + m
+    # The reduced costs are 1 on the artificials minus the column sums;
+    # obj[rhs] is minus the objective value, the sum of the artificials.
+    obj: dict[int, int] = {rhs: -m}
+    rows: list[dict[int, int]] = []
     for i, test in enumerate(tests):
-        row = [_ZERO] * (cols + 1)
-        for j in test:
-            row[j] = _ONE
-        row[n + i] = row[cols] = _ONE
+        row = dict.fromkeys(test, 1)
+        row[n + i] = row[rhs] = 1
         rows.append(row)
-    basis = list(range(n, cols))
-    # Phase-one reduced costs (1 on artificials minus the column sums); the
-    # last entry is minus the objective value, the sum of the artificials.
-    obj = [_ZERO] * (cols + 1)
-    for test in tests:
         for j in test:
-            obj[j] -= 1
-    obj[cols] = Fraction(-m)
+            obj[j] = obj.get(j, 0) - 1
+    rows.append(obj)
+    den = [1] * (m + 1)
+    meets: list[set[int]] = [set() for _ in range(rhs + 1)]  # column -> rows
+    for i, row in enumerate(rows):
+        for j in row:
+            meets[j].add(i)
+    basis = list(range(n, rhs))
 
     while True:
         # Bland's rule: lowest-index negative reduced cost; anti-cycling.
-        enter = next((j for j in range(cols) if obj[j] < 0), None)
+        enter = min((j for j, v in obj.items() if v < 0 and j != rhs), default=None)
         if enter is None:
             break
-        best = None
-        for i in range(m):
-            a = rows[i][enter]
+        # Ratio test: least b_i / a_i over a_i > 0 (never the objective row,
+        # whose entry is negative), ties to the smaller basis index.  The
+        # denominators cancel, so b_i * a_r is compared with b_r * a_i.
+        r = -1
+        for i in meets[enter]:
+            row = rows[i]
+            a = row[enter]
             if a > 0:
-                key = (rows[i][cols] / a, basis[i])
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:  # cannot happen: phase-one objective is bounded
+                b = row.get(rhs, 0)
+                if r < 0 or (b * ar, basis[i]) < (br * a, basis[r]):
+                    r, ar, br = i, a, b
+        if r < 0:  # cannot happen: phase-one objective is bounded
             raise AssertionError("unbounded phase-one simplex")
-        r = best[1]
-        pivot_row = rows[r]
-        piv = pivot_row[enter]
-        nonzero = [j for j in range(cols + 1) if pivot_row[j]]
-        for j in nonzero:
-            pivot_row[j] /= piv
-        for i in range(m):
-            f = rows[i][enter]
-            if i != r and f:
-                row = rows[i]
-                for j in nonzero:
-                    row[j] -= f * pivot_row[j]
-        f = obj[enter]
-        for j in nonzero:
-            obj[j] -= f * pivot_row[j]
+        # The pivot row keeps its integers, over the pivot as denominator.
+        prow = rows[r]
+        g = gcd(*prow.values())
+        if g > 1:
+            for j in prow:
+                prow[j] //= g
+        piv = den[r] = prow[enter]
+        # Every other row meeting the column: (row * piv - f * prow) / (d * piv).
+        for i in list(meets[enter]):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[enter]
+            if piv != 1:
+                for j in row:
+                    row[j] *= piv
+            for j, v in prow.items():
+                v *= f
+                old = row.get(j)
+                if old is None:
+                    row[j] = -v
+                    meets[j].add(i)
+                elif old != v:
+                    row[j] = old - v
+                else:
+                    del row[j]
+                    meets[j].remove(i)
+            d = den[i] * piv
+            g = gcd(d, *row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+                d //= g
+            den[i] = d
         basis[r] = enter
 
-    duals = [_ONE - obj[n + i] for i in range(m)]
-    if obj[cols]:
+    d = den[m]
+    duals = [Fraction(d - obj.get(n + i, 0), d) for i in range(m)]
+    if rhs in obj:
         return None, duals
-    x = [_ZERO] * cols
-    for i in range(m):
-        x[basis[i]] = rows[i][cols]
-    return x[:n], duals
+    x = [_ZERO] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = Fraction(rows[i].get(rhs, 0), den[i])
+    return x, duals
 
 
 def _solve_states(ts: TestSpace):

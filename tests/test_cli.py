@@ -237,6 +237,23 @@ def test_oa_roundtrip_report(capsys, tmp_path):
     assert rows["roundtrip"] == "yes"
 
 
+def test_oa_roundtrip_builds_the_induced_space_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    induce = logic.oa_to_test_space
+
+    def counting(oa):
+        calls.append(oa)
+        return induce(oa)
+
+    for module in (cli, logic):
+        monkeypatch.setattr(module, "oa_to_test_space", counting)
+    path = tmp_path / "bool3.oa"
+    path.write_text(oa_file_text(boolean_oa(3)))
+    code, out, _ = run(capsys, "--strict", "oa", "--roundtrip", str(path))
+    assert code == 0 and "roundtrip" in out
+    assert len(calls) == 1
+
+
 def test_oa_rejects_broken_table(capsys, tmp_path):
     path = tmp_path / "bad.oa"
     path.write_text("elements 0 a 1\nzero 0\none 1\n")

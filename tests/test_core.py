@@ -13,6 +13,7 @@ from testspaces.core import (
     TestSpace,
     UnknownOutcomeError,
     ValidationError,
+    _column,
     _lines,
     as_event,
     complementary,
@@ -180,8 +181,12 @@ def test_lexer_matches_per_line_reference(text):
         content = raw.split("#", 1)[0]
         toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
         if toks:
-            expected.append((lineno, toks[0][1], toks[0][0], toks[1:]))
-    assert list(_lines(text)) == expected
+            expected.append((lineno, toks))
+    got = [
+        (lineno, [(tok, _column(line, k)) for k, tok in enumerate([key, *toks])])
+        for lineno, line, key, toks in _lines(text)
+    ]
+    assert got == expected
 
 
 def test_load_requires_outcomes_and_tests():

@@ -280,6 +280,34 @@ def test_oa_to_test_space_boolean3():
     assert frozenset({"123"}) in set(ts.tests)
 
 
+def frozen_oa_to_test_space(oa):
+    """oa_to_test_space when it folded through the name-level osum_of; kept
+    as the reference."""
+    xs = [e for e in oa.elements if e != oa.zero]
+    tests = []
+
+    def extend(start, acc, chosen):
+        if acc == oa.one:
+            tests.append(frozenset(chosen))
+            return
+        for i in range(start, len(xs)):
+            nxt = oa.osum_of(acc, xs[i])
+            if nxt is not None:
+                extend(i + 1, nxt, chosen + (xs[i],))
+
+    extend(0, oa.zero, ())
+    return TestSpace.build(
+        sorted(xs), sorted(tests, key=lambda t: (len(t), tuple(sorted(t))))
+    )
+
+
+def test_oa_to_test_space_equals_the_name_level_fold(spaces):
+    tables = [boolean_oa(n) for n in range(1, 7)] + [mo2_oa()]
+    tables += [logic_to_oa(build_logic(spaces[name])) for name in LOGIC_SIZES]
+    for oa in tables:
+        assert oa_to_test_space(oa) == frozen_oa_to_test_space(oa)
+
+
 def test_fold_osum_is_order_independent():
     oa = boolean_oa(3)
     members = ("1", "2", "3")
@@ -514,6 +542,17 @@ def test_roundtrip_equals_frozen_loop_on_edited_tables(base, edits, seed):
         return
     assert_roundtrip_as_frozen(oa)
     assert_roundtrip_as_frozen(oa, relabelled(oa_to_test_space(oa), random.Random(seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(["boolean-3", "mo2"]), edits=TABLE_EDITS)
+def test_oa_to_test_space_equals_the_name_level_fold_on_edited_tables(base, edits):
+    oa = boolean_oa(3) if base == "boolean-3" else mo2_oa()
+    try:
+        oa = OrthoalgebraTable(oa.elements, oa.zero, oa.one, edited_sums(oa, edits))
+    except AxiomViolationError:
+        return
+    assert oa_to_test_space(oa) == frozen_oa_to_test_space(oa)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from testspaces import corpus, states as states_module
-from testspaces.core import CapExceededError, TestSpace, ValidationError, load_test_space
+from testspaces.core import (
+    CapExceededError,
+    TestSpace,
+    ValidationError,
+    components,
+    load_test_space,
+)
 from testspaces.metric import sample_frames
 from testspaces.states import (
     DEFAULT_DF_CAP,
@@ -250,6 +256,109 @@ def test_dispersion_free_states_match_exhaustive_scan(seed):
     assert got == [sorted(e) for e in df_states_oracle(ts)]
 
 
+# ------------------------------------------- reference: the Fraction simplex
+
+# The per-component phase-one simplex as it ran over Fractions before the
+# tableau became fraction-free, frozen here as the reference the integer
+# solver must equal, pivot for pivot: same values, same duals.
+
+F0, F1 = Fraction(0), Fraction(1)
+
+
+def frozen_fraction_simplex(n: int, tests: Sequence[Sequence[int]]):
+    m = len(tests)
+    cols = n + m  # the right-hand side sits in column `cols`
+    rows = []
+    for i, test in enumerate(tests):
+        row = [F0] * (cols + 1)
+        for j in test:
+            row[j] = F1
+        row[n + i] = row[cols] = F1
+        rows.append(row)
+    basis = list(range(n, cols))
+    # Phase-one reduced costs (1 on artificials minus the column sums); the
+    # last entry is minus the objective value, the sum of the artificials.
+    obj = [F0] * (cols + 1)
+    for test in tests:
+        for j in test:
+            obj[j] -= 1
+    obj[cols] = Fraction(-m)
+
+    while True:
+        # Bland's rule: lowest-index negative reduced cost; anti-cycling.
+        enter = next((j for j in range(cols) if obj[j] < 0), None)
+        if enter is None:
+            break
+        best = None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                key = (rows[i][cols] / a, basis[i])
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:  # cannot happen: phase-one objective is bounded
+            raise AssertionError("unbounded phase-one simplex")
+        r = best[1]
+        pivot_row = rows[r]
+        piv = pivot_row[enter]
+        nonzero = [j for j in range(cols + 1) if pivot_row[j]]
+        for j in nonzero:
+            pivot_row[j] /= piv
+        for i in range(m):
+            f = rows[i][enter]
+            if i != r and f:
+                row = rows[i]
+                for j in nonzero:
+                    row[j] -= f * pivot_row[j]
+        f = obj[enter]
+        for j in nonzero:
+            obj[j] -= f * pivot_row[j]
+        basis[r] = enter
+
+    duals = [F1 - obj[n + i] for i in range(m)]
+    if obj[cols]:
+        return None, duals
+    x = [F0] * cols
+    for i in range(m):
+        x[basis[i]] = rows[i][cols]
+    return x[:n], duals
+
+
+def component_problems(ts):
+    """(outcome count, tests as outcome columns) per component, as _solve_states builds them."""
+    outs = ts.outcomes
+    for out_idx, test_idx in components(ts):
+        column = {outs[k]: j for j, k in enumerate(out_idx)}
+        yield len(out_idx), [[column[x] for x in ts.tests[i]] for i in test_idx]
+
+
+def assert_simplex_matches_frozen(ts):
+    for n, tests in component_problems(ts):
+        values, duals = states_module._phase1_simplex(n, tests)
+        frozen_values, frozen_duals = frozen_fraction_simplex(n, tests)
+        assert values == frozen_values
+        assert duals == frozen_duals
+        assert all(type(v) is Fraction for v in (values or []) + duals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=30_000))
+def test_integer_simplex_equals_the_frozen_fraction_simplex(seed):
+    rng = random.Random(seed)
+    ts = corpus.random_test_space(rng, max_universe=28, max_tests=20, min_size=3, max_size=7)
+    assert_simplex_matches_frozen(ts)
+
+
+def test_integer_simplex_on_fixed_spaces(spaces):
+    # The simplex's state on triangle is not integral (1/2 on a, b and c);
+    # stateless is infeasible, so only its duals are returned.
+    for name in ("triangle", "stateless", "glued-pair", "mo2"):
+        assert_simplex_matches_frozen(spaces[name])
+    (n, tests), = component_problems(spaces["triangle"])
+    values, _duals = states_module._phase1_simplex(n, tests)
+    assert values == [F(1, 2), F(1, 2), F(1, 2), F0, F0, F0]
+
+
 # ------------------------------------------- reference: whole-space solvers
 
 # The exact simplex and the 0/1 search as they ran on the whole space before
@@ -384,6 +493,9 @@ def test_dispersion_free_search_deeper_than_the_recursion_limit():
     (only,) = dispersion_free_states(ts)
     assert only.values == {x: F(x == "s") for x in ts.outcomes}
     assert is_udf(ts) == (False, "o00")
+    # The exact simplex on the same component: find_state verifies its state.
+    assert find_state(ts) is not None
+    assert infeasibility_certificate(ts) is None
 
 # ------------------------------------------------------------------ memo
 
