@@ -77,6 +77,39 @@ def _column(line: str, k: int) -> int:
     return next(itertools.islice(_TOKEN.finditer(line), k, None)).start() + 1
 
 
+def _containing_index(outcomes, tests) -> dict[str, tuple[int, ...]]:
+    """Outcome id -> ascending indices of the tests that contain it.
+
+    Outcomes held by the same tests share one tuple, so a space whose
+    tests are disjoint keeps one tuple per test.
+    """
+    idx: dict[str, list[int]] = {x: [] for x in outcomes}
+    for i, test in enumerate(tests):
+        for x in test:
+            idx[x].append(i)
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return {x: shared.setdefault(t, t) for x, t in zip(idx, map(tuple, idx.values()))}
+
+
+def _tests_containing(tests, containing, m: frozenset[str]):
+    """Yield, ascending, the indices of the tests that contain every member
+    of m; `containing` is the _containing_index of the tests.
+
+    Only the tests that contain the member held by the fewest tests are
+    tried; an unknown member is in no test, and the empty set is in all.
+    """
+    if not m:
+        yield from range(len(tests))
+        return
+    try:
+        fewest = min((containing[x] for x in m), key=len)
+    except KeyError:
+        return
+    for i in fewest:
+        if m <= tests[i]:
+            yield i
+
+
 @dataclass(frozen=True)
 class TestSpace:
     """Outcome ids in lexicographic order plus the covering test family."""
@@ -115,12 +148,8 @@ class TestSpace:
         return TestSpace(tuple(sorted(outcomes)), tuple(frozenset(t) for t in tests))
 
     @cached_property
-    def _containing(self) -> dict[str, frozenset[int]]:
-        idx: dict[str, set[int]] = {x: set() for x in self.outcomes}
-        for i, test in enumerate(self.tests):
-            for x in test:
-                idx[x].add(i)
-        return {x: frozenset(s) for x, s in idx.items()}
+    def _containing(self) -> dict[str, tuple[int, ...]]:
+        return _containing_index(self.outcomes, self.tests)
 
     @cached_property
     def test_set(self) -> frozenset[frozenset[str]]:
@@ -167,7 +196,7 @@ class TestSpace:
     def containing(self, outcome: str) -> frozenset[int]:
         """Indices of the tests that contain the given outcome."""
         try:
-            return self._containing[outcome]
+            return frozenset(self._containing[outcome])
         except KeyError:
             raise UnknownOutcomeError(f"unknown outcome {outcome!r}") from None
 
@@ -200,16 +229,16 @@ def event_key(obj: EventLike) -> tuple[int, tuple[str, ...]]:
 
 def is_event(ts: TestSpace, members: EventLike) -> bool:
     m = member_set(members)
-    return any(m <= test for test in ts.tests)
+    return next(_tests_containing(ts.tests, ts._containing, m), None) is not None
 
 
 def as_event(ts: TestSpace, members: EventLike) -> Event:
     """Wrap a member set as an Event, witnessed by the lowest containing test."""
     m = member_set(members)
-    for i, test in enumerate(ts.tests):
-        if m <= test:
-            return Event(m, i)
-    raise ValidationError(f"{sorted(m)} is not a subset of any test")
+    i = next(_tests_containing(ts.tests, ts._containing, m), None)
+    if i is None:
+        raise ValidationError(f"{sorted(m)} is not a subset of any test")
+    return Event(m, i)
 
 
 def orthogonal(ts: TestSpace, x: str, y: str) -> bool:
@@ -280,7 +309,7 @@ def orthogonal_events(ts: TestSpace, a: EventLike, b: EventLike) -> bool:
 def complements_of(ts: TestSpace, a: EventLike) -> frozenset[frozenset[str]]:
     """All events complementary to `a`: the test remainders over tests containing it."""
     m = member_set(a)
-    return frozenset(test - m for test in ts.tests if m <= test)
+    return frozenset(ts.tests[i] - m for i in _tests_containing(ts.tests, ts._containing, m))
 
 
 def perspective(ts: TestSpace, a: EventLike, b: EventLike) -> bool:

@@ -688,14 +688,25 @@ def _roundtrip(oa: OrthoalgebraTable, ts: TestSpace) -> dict[int, str] | None:
     logic = build_logic(ts)
     if len(logic) != oa.size:
         return None
-    phi: list[str] = []
+    sums, idx = oa._sums, oa._idx
+    plus = sums._table.item
+
+    def fold(members) -> int:
+        """fold_osum on the index-level table: -1 where it gives None."""
+        acc = sums.zero
+        for e in sorted(members):
+            acc = plus(acc, idx[e])
+            if acc < 0:
+                break
+        return acc
+
+    phi: list[int] = []
     for grp in logic.classes:
-        vals = {fold_osum(oa, m) for m in grp}
-        if len(vals) != 1 or None in vals:
+        vals = {fold(m) for m in grp}
+        if len(vals) != 1 or -1 in vals:
             return None
         phi.append(vals.pop())
-    f = np.array([oa._idx[x] for x in phi], dtype=np.int32)
-    sums = oa._sums
+    f = np.array(phi, dtype=np.int32)
     if len(set(phi)) != len(phi) or f[logic.zero] != sums.zero or f[logic.one] != sums.one:
         return None
     # One comparison: phi(p + q) = phi(p) + phi(q) with both sides undefined
@@ -703,4 +714,6 @@ def _roundtrip(oa: OrthoalgebraTable, ts: TestSpace) -> dict[int, str] | None:
     t = logic._table
     mapped = np.column_stack((np.where(t >= 0, f[t], -1), f[logic._ocomp]))
     target = np.column_stack((sums._table[np.ix_(f, f)], sums._ocomp[f]))
-    return dict(enumerate(phi)) if np.array_equal(mapped, target) else None
+    if not np.array_equal(mapped, target):
+        return None
+    return {c: oa.elements[p] for c, p in enumerate(phi)}

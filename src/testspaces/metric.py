@@ -25,7 +25,9 @@ from .core import (
     UnknownOutcomeError,
     ValidationError,
     _column,
+    _containing_index,
     _lines,
+    _tests_containing,
     dump_test_space,
     load_test_space,
 )
@@ -94,18 +96,26 @@ _BLOCK_ELEMENTS = 1 << 20  # 8 MB of float64 per row block of a blocked scan
 
 def _orthogonal_pairs(pts: np.ndarray, thr: float):
     """Yield the index pairs (i < j) with |<p_i, p_j>| <= thr in row-major
-    order, one array per row block of the Gram matrix that holds any."""
+    order, one array per row block of the Gram matrix that holds any.
+
+    Each row block meets only the columns from its first row on, and as
+    those narrow the blocks take more rows, all in one reused buffer of at
+    most max(_BLOCK_ELEMENTS, n) floats.
+    """
     n = len(pts)
-    block = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    gram = np.empty((min(block, n), n))  # reused: a new block each step page-faults anew
-    for s in range(0, n, block):
-        g = gram[: min(block, n - s)]
-        np.matmul(pts[s : s + block], pts.T, out=g)
-        ii, jj = np.nonzero(np.abs(g, out=g) <= thr)
-        ii = ii + s
+    # reused: a new block each step page-faults anew
+    buf = np.empty(min(n * n, max(_BLOCK_ELEMENTS, n)))
+    s = 0
+    while s < n:
+        width = n - s
+        rows = min(width, max(1, _BLOCK_ELEMENTS // width))
+        g = buf[: rows * width].reshape(rows, width)
+        np.matmul(pts[s : s + rows], pts[s:].T, out=g)
+        ii, jj = np.divmod(np.flatnonzero(np.abs(g, out=g) <= thr), width)
         keep = ii < jj
         if keep.any():
-            yield np.stack([ii[keep], jj[keep]], axis=1)
+            yield np.stack([ii[keep], jj[keep]], axis=1) + s
+        s += rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +138,10 @@ class MetricSample:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.ids)}
+
+    @cached_property
+    def _containing(self) -> dict[str, tuple[int, ...]]:
+        return _containing_index(self.ids, self.tests)
 
     @property
     def dim(self) -> int:
@@ -467,11 +481,11 @@ def rank_bound(sample: MetricSample, cap_radius: float) -> int:
     return len(caps)
 
 
-def _separation(pts: np.ndarray) -> float:
-    if len(pts) < 2:
+def _separation(dist: np.ndarray) -> float:
+    """The least off-diagonal entry of a square distance block."""
+    if len(dist) < 2:
         return math.inf
-    dist = pairwise_distances(pts, pts)
-    return float(dist[~np.eye(len(pts), dtype=bool)].min())
+    return float(dist[~np.eye(len(dist), dtype=bool)].min())
 
 
 def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
@@ -480,15 +494,19 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     When the Hausdorff distance is below half the smaller internal
     separation, the check requires equal cardinalities and exact agreement
     of matching and Hausdorff distances; otherwise it holds vacuously.
+    Both separations and the cross distances are read from one distance
+    matrix over the points of a followed by those of b.
     """
     ma, mb = frozenset(a), frozenset(b)
     for m in (ma, mb):
-        if not any(m <= t for t in sample.tests):
+        if next(_tests_containing(sample.tests, sample._containing, m), None) is None:
             raise ValidationError(f"{sorted(m)} is not an event of the sample")
-    pa, pb = sample.points_of(ma), sample.points_of(mb)
-    dist = pairwise_distances(pa, pb)
+    k = len(ma)
+    pts = np.concatenate([sample.points_of(ma), sample.points_of(mb)])
+    full = pairwise_distances(pts, pts)
+    dist = full[:k, k:]
     d_h = _hausdorff(dist)
-    guard = 0.5 * min(_separation(pa), _separation(pb))
+    guard = 0.5 * min(_separation(full[:k, :k]), _separation(full[k:, k:]))
     if not d_h < guard:
         return True
     if len(ma) != len(mb):

@@ -267,44 +267,40 @@ def _df_masks(tests: Sequence[tuple[str, ...]], bit: Mapping[str, int]) -> list[
     """The 0/1 states of one component, each as the sum of its ones' bits.
 
     Backtracking over the tests, always branching on the currently most
-    constrained test.
+    constrained test: the fewest candidates, then the lowest index.  The
+    outcomes decided so far are two bitmasks, `ones` and `zeros`.
     """
-    value: dict[str, int | None] = {x: None for x in bit}
+    tmask = [sum(bit[x] for x in t) for t in tests]
     undecided = set(range(len(tests)))
     masks: list[int] = []
+    ones = zeros = 0
 
-    def candidates(i: int) -> list[str]:
-        out = []
-        for x in tests[i]:
-            if value[x] == 0:
-                continue
-            if any(value[y] == 1 for y in tests[i] if y != x):
-                continue
-            out.append(x)
-        return out
+    def allowed(i: int) -> int:
+        """The bits of the candidates of test i: its one outcome of value 1
+        if it has exactly one, else its undecided outcomes if it has none."""
+        hit = tmask[i] & ones
+        if hit:
+            return 0 if hit & (hit - 1) else hit
+        return tmask[i] & ~zeros
 
-    # One frame per branched test: (test, its remaining candidates, the
-    # outcomes the current candidate decided).  The explicit stack visits
-    # the states in the order a depth-first recursion would.
-    stack: list[tuple[int, Iterator[str], list[str]]] = []
+    # One frame per branched test: (test, its remaining candidate bits, the
+    # masks before it was branched on).  The explicit stack visits the
+    # states in the order a depth-first recursion would.
+    stack: list[tuple[int, Iterator[int], int, int]] = []
     while True:
         if undecided:
-            i = min(undecided, key=lambda t: (len(candidates(t)), t))
+            i = min(undecided, key=lambda t: (allowed(t).bit_count(), t))
             undecided.discard(i)
-            stack.append((i, iter(candidates(i)), []))
+            cand = allowed(i)
+            stack.append((i, iter([bit[x] for x in tests[i] if bit[x] & cand]), ones, zeros))
         else:
-            masks.append(sum(b for x, b in bit.items() if value[x]))
+            masks.append(ones)
         while stack:  # move to the next candidate of the deepest open test
-            i, todo, changed = stack[-1]
-            for y in changed:
-                value[y] = None
-            changed.clear()
-            x = next(todo, None)
-            if x is not None:
-                for y in tests[i]:
-                    if value[y] is None:
-                        value[y] = 1 if y == x else 0
-                        changed.append(y)
+            i, todo, ones, zeros = stack[-1]
+            b = next(todo, None)
+            if b is not None:
+                zeros |= tmask[i] & ~(ones | zeros | b)
+                ones |= b
                 break
             stack.pop()
             undecided.add(i)
@@ -343,11 +339,23 @@ def dispersion_free_states(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> list[Sta
     """
     _check_df_cap(ts, cap)
     n = len(ts.outcomes)
-    weight = {"0": _ZERO, "1": _ONE}
-    return [
-        State({x: weight[b] for x, b in zip(ts.outcomes, format(mask, f"0{n}b"))}, "exact")
-        for mask in sorted(map(sum, itertools.product(*ts._df_components)))
-    ]
+    # Per byte of a mask, low byte first, and per value of that byte, the
+    # outcomes it sets to one (outcome k owns bit n-1-k); filled as needed.
+    tables: list[list[dict[str, Fraction] | None]] = [[None] * 256 for _ in range(0, n, 8)]
+    zero = dict.fromkeys(ts.outcomes, _ZERO)
+    out = []
+    for mask in sorted(map(sum, itertools.product(*ts._df_components))):
+        values = zero.copy()
+        for lo, table in zip(range(0, n, 8), tables):
+            byte = mask >> lo & 255
+            ones = table[byte]
+            if ones is None:
+                ones = table[byte] = {
+                    ts.outcomes[n - 1 - lo - k]: _ONE for k in range(8) if byte >> k & 1
+                }
+            values.update(ones)
+        out.append(State(values, "exact"))
+    return out
 
 
 def is_udf(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> tuple[bool, str | None]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from testspaces import corpus
 from testspaces.core import (
     CapExceededError,
+    Event,
     ParseError,
     TestSpace,
     UnknownOutcomeError,
@@ -17,10 +18,12 @@ from testspaces.core import (
     _lines,
     as_event,
     complementary,
+    complements_of,
     components,
     dump_test_space,
     enumerate_events,
     event_key,
+    is_event,
     load_test_space,
     member_set,
     orthogonal,
@@ -268,3 +271,55 @@ def test_orthogonality_is_symmetric_and_irreflexive(ts, rnd):
         assert orthogonal(ts, x, y) == orthogonal(ts, y, x)
     for x in xs:
         assert not orthogonal(ts, x, x)
+
+
+# ------------------------------------------------ event containment
+
+# The containment rule as a scan over every test, before the queries read
+# the outcome -> tests index; kept as the reference.
+
+
+def frozen_is_event(ts, m):
+    return any(m <= test for test in ts.tests)
+
+
+def frozen_as_event(ts, m):
+    for i, test in enumerate(ts.tests):
+        if m <= test:
+            return Event(m, i)
+    raise ValidationError(f"{sorted(m)} is not a subset of any test")
+
+
+def frozen_complements_of(ts, m):
+    return frozenset(test - m for test in ts.tests if m <= test)
+
+
+def outcome_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValidationError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(spaces_strategy(), st.randoms(use_true_random=False))
+def test_containment_queries_equal_the_frozen_scan(ts, rnd):
+    """Subsets of tests, unions across tests, unknown ids and the empty set,
+    on a small space and on one of up to 40 tests."""
+    assert_containment_as_frozen(ts, rnd)
+    assert_containment_as_frozen(
+        corpus.random_test_space(rnd, max_universe=12, max_tests=40, max_size=4), rnd
+    )
+
+
+def assert_containment_as_frozen(ts, rnd):
+    xs = list(ts.outcomes)
+    draws = [frozenset(), frozenset({"zz"}), frozenset({xs[0], "zz"})]
+    for _ in range(12):
+        test = sorted(rnd.choice(ts.tests))
+        draws.append(frozenset(rnd.sample(test, rnd.randint(1, len(test)))))
+        draws.append(frozenset(rnd.sample(xs, rnd.randint(1, min(4, len(xs))))))
+    for m in draws:
+        assert is_event(ts, m) == frozen_is_event(ts, m)
+        assert outcome_or_error(as_event, ts, m) == outcome_or_error(frozen_as_event, ts, m)
+        assert complements_of(ts, m) == frozen_complements_of(ts, m)

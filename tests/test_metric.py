@@ -476,6 +476,68 @@ def test_orthogonal_pairs_match_brute_force(monkeypatch, rows_per_block):
         assert [tuple(p) for p in pairs.tolist()] == brute_orthogonal_pairs(s)
 
 
+# The pair scan before it kept to the upper triangle: each row block met
+# every column of the Gram matrix and a 2-D nonzero found the hits; frozen
+# here as the reference.
+
+
+def frozen_orthogonal_pairs(pts: np.ndarray, thr: float, block_elements: int = 1 << 20):
+    n = len(pts)
+    block = max(1, block_elements // max(n, 1))
+    gram = np.empty((min(block, n), n))
+    for s in range(0, n, block):
+        g = gram[: min(block, n - s)]
+        np.matmul(pts[s : s + block], pts.T, out=g)
+        ii, jj = np.nonzero(np.abs(g, out=g) <= thr)
+        ii = ii + s
+        keep = ii < jj
+        if keep.any():
+            yield np.stack([ii[keep], jj[keep]], axis=1)
+
+
+def concat_pairs(chunks) -> np.ndarray:
+    chunks = list(chunks)
+    return np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=int)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from([math.sin(1e-9), 0.05, 0.3]),
+    st.sampled_from([1, 3, None]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_orthogonal_pairs_equal_the_frozen_full_gram_scan(d, frames, extra, thr, rows, seed):
+    """Frames (exactly orthogonal pairs) mixed with random unit vectors, in
+    shuffled order, at budgets of one row, three rows and the default."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([sample_frames(d, frames, seed % 1000).coords, seeded_points(seed, extra, d)])
+    pts = pts[rng.permutation(len(pts))]
+    want = concat_pairs(frozen_orthogonal_pairs(pts, thr))
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(metric_module, "_BLOCK_ELEMENTS", rows * len(pts))
+        got = concat_pairs(metric_module._orthogonal_pairs(pts, thr))
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape and (got == want).all()
+
+
+def test_orthogonal_pair_scan_keeps_to_its_block_budget():
+    s = sample_frames(3, 1000, seed=8)
+    want = concat_pairs(frozen_orthogonal_pairs(s.coords, math.sin(s.ortho_tol)))
+    tracemalloc.start()
+    try:
+        got = s.orthogonal_pair_indices
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    # the float buffer and one boolean block, far below the 72 MB Gram matrix
+    assert peak < 8 * metric_module._BLOCK_ELEMENTS * 3 // 2
+
+
 # -------------------------------------------------------------- rank bound
 
 
@@ -506,6 +568,27 @@ def test_rank_bound_skips_only_caps_too_small_for_an_orthogonal_pair(monkeypatch
         assert [rank_bound(s, r) for r in radii] == skipped
     monkeypatch.setattr(metric_module, "_CAP_CHORD_SLACK", math.inf)  # always scan
     assert [rank_bound(s, r) for r in radii] == skipped
+
+
+@pytest.mark.parametrize("d, count, seed", [(3, 200, 4), (4, 120, 5), (6, 60, 6)])
+def test_rank_bound_answers_like_the_frozen_scan(monkeypatch, d, count, seed):
+    """The cap count, or the (center, pair) of the first cap with a pair."""
+    s = sample_frames(d, count, seed=seed)
+    radii = [0.3, 0.72, 0.75, 0.8, 1.0, 1.4, 2.5]
+
+    def answers():
+        out = []
+        for r in radii:
+            try:
+                out.append(rank_bound(s, r))
+            except NotTotallyNonOrthogonalError as exc:
+                out.append((exc.center, exc.pair))
+        return out
+
+    got = answers()
+    assert any(isinstance(x, tuple) for x in got) and any(isinstance(x, int) for x in got)
+    monkeypatch.setattr(metric_module, "_orthogonal_pairs", frozen_orthogonal_pairs)
+    assert got == answers()
 
 
 def test_rank_bound_under_45_degree_caps():
@@ -561,6 +644,90 @@ def test_cardinality_constancy_on_rotated_frames(seed, theta):
     left = ["a", "b", "c"][: int(pick)]
     right = ["d", "e", "f"][: int(pick)]
     assert event_cardinality_locally_constant(s, left, right)
+
+
+# The check before it read event membership through the outcome -> tests
+# index and its distances from one matrix: a scan over every test, and
+# three distance matrices; frozen here as the reference.
+
+
+def frozen_locally_constant(sample: MetricSample, a, b) -> bool:
+    ma, mb = frozenset(a), frozenset(b)
+    for m in (ma, mb):
+        if not any(m <= t for t in sample.tests):
+            raise ValidationError(f"{sorted(m)} is not an event of the sample")
+    pa, pb = sample.points_of(ma), sample.points_of(mb)
+    dist = pairwise_distances(pa, pb)
+    d_h = metric_module._hausdorff(dist)
+
+    def separation(pts):
+        if len(pts) < 2:
+            return math.inf
+        own = pairwise_distances(pts, pts)
+        return float(own[~np.eye(len(pts), dtype=bool)].min())
+
+    guard = 0.5 * min(separation(pa), separation(pb))
+    if not d_h < guard:
+        return True
+    if len(ma) != len(mb):
+        return False
+    return metric_module._bottleneck(dist) == d_h
+
+
+def perturbed_frames_sample(d: int, frames: int, eps: float, seed: int) -> MetricSample:
+    """Frames f<k> and, for each, a copy g<k> tilted by about eps."""
+    rng = np.random.default_rng(seed)
+    base = sample_frames(d, frames, seed).coords.reshape(frames, d, d)
+    ids, pts, tests = [], [], []
+    for k, frame in enumerate(base):
+        q, r = np.linalg.qr((frame + eps * rng.standard_normal((d, d))).T)
+        tilted = (q * np.sign(np.diag(r))).T
+        tilted /= np.linalg.norm(tilted, axis=1, keepdims=True)
+        for name, rows in (("f", frame), ("g", tilted)):
+            members = [f"{name}{k}.{i}" for i in range(d)]
+            ids += members
+            pts.append(rows)
+            tests.append(frozenset(members))
+    order = np.argsort(ids)
+    return MetricSample(tuple(np.array(ids)[order].tolist()), np.vstack(pts)[order], tuple(tests))
+
+
+def answer_or_error(f, *args):
+    try:
+        return f(*args)
+    except (ValidationError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.5]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_locally_constant_equals_the_frozen_check(d, frames, eps, seed):
+    """Matched tilted copies (the guard holds and the matching runs),
+    unequal sizes, empty events, and non-events with their messages;
+    d > 7 takes the stacked distance route."""
+    s = perturbed_frames_sample(d, frames, eps, seed % 1000)
+    rng = np.random.default_rng(seed)
+    for draw in range(16):
+        k = int(rng.integers(frames))
+        picked = rng.choice(d, size=int(rng.integers(1, d + 1)) if draw else 0, replace=False)
+        a = [f"f{k}.{i}" for i in picked]
+        b = [f"g{k}.{i}" for i in picked]
+        kind = int(rng.integers(4))
+        if kind == 1 and len(b) < d:  # one member more
+            b.append(f"g{k}.{next(i for i in range(d) if i not in picked)}")
+        elif kind == 2 and b:  # one member fewer
+            b.pop()
+        elif kind == 3:  # a member of another test, or an unknown id
+            (a, b)[draw % 2].append(str(rng.choice([f"g{k}.0", f"f{(k + 1) % frames}.0", "zz"])))
+        got = answer_or_error(event_cardinality_locally_constant, s, a, b)
+        want = answer_or_error(frozen_locally_constant, s, a, b)
+        assert got == want
+        assert type(got) is type(want)
 
 
 # ------------------------------------------------------------- generation

@@ -497,6 +497,107 @@ def test_dispersion_free_search_deeper_than_the_recursion_limit():
     assert find_state(ts) is not None
     assert infeasibility_certificate(ts) is None
 
+# ------------------------------------ reference: the dict-valued 0/1 search
+
+# The dispersion-free search and listing as they ran before the search kept
+# its decided outcomes in bitmasks and the listing filled a copied all-zero
+# dict; frozen here as the reference.
+
+
+def frozen_df_masks(tests, bit):
+    value = {x: None for x in bit}
+    undecided = set(range(len(tests)))
+    masks = []
+
+    def candidates(i):
+        out = []
+        for x in tests[i]:
+            if value[x] == 0:
+                continue
+            if any(value[y] == 1 for y in tests[i] if y != x):
+                continue
+            out.append(x)
+        return out
+
+    stack = []
+    while True:
+        if undecided:
+            i = min(undecided, key=lambda t: (len(candidates(t)), t))
+            undecided.discard(i)
+            stack.append((i, iter(candidates(i)), []))
+        else:
+            masks.append(sum(b for x, b in bit.items() if value[x]))
+        while stack:
+            i, todo, changed = stack[-1]
+            for y in changed:
+                value[y] = None
+            changed.clear()
+            x = next(todo, None)
+            if x is not None:
+                for y in tests[i]:
+                    if value[y] is None:
+                        value[y] = 1 if y == x else 0
+                        changed.append(y)
+                break
+            stack.pop()
+            undecided.add(i)
+        if not stack:
+            return masks
+
+
+def df_problems(ts):
+    """Per component, the (tests, bit) arguments of the search."""
+    n = len(ts.outcomes)
+    return [
+        ([tuple(sorted(ts.tests[i])) for i in test_idx],
+         {ts.outcomes[k]: 1 << (n - 1 - k) for k in out_idx})
+        for out_idx, test_idx in components(ts)
+    ]
+
+
+def frozen_df_listing(ts):
+    n = len(ts.outcomes)
+    weight = {"0": states_module._ZERO, "1": states_module._ONE}
+    per_component = [frozen_df_masks(tests, bit) for tests, bit in df_problems(ts)]
+    return [
+        {x: weight[b] for x, b in zip(ts.outcomes, format(mask, f"0{n}b"))}
+        for mask in sorted(map(sum, itertools.product(*per_component)))
+    ]
+
+
+def assert_df_matches_frozen(ts):
+    for tests, bit in df_problems(ts):
+        assert states_module._df_masks(tests, bit) == frozen_df_masks(tests, bit)
+    got = [list(s.values.items()) for s in dispersion_free_states(ts)]
+    assert got == [list(values.items()) for values in frozen_df_listing(ts)]
+    shared = (states_module._ZERO, states_module._ONE)
+    assert all(any(v is w for w in shared) for items in got for _, v in items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=30_000))
+def test_bitmask_search_equals_the_frozen_dict_search(seed):
+    rng = random.Random(seed)
+    draws = [corpus.random_test_space(rng, max_universe=10, max_tests=8, min_size=2, max_size=5)
+             for _ in range(2)]
+    assert_df_matches_frozen(draws[0])
+    assert_df_matches_frozen(disjoint_union(draws, rng))
+
+
+def test_bitmask_search_on_fixed_spaces(spaces):
+    for ts in spaces.values():
+        assert_df_matches_frozen(ts)
+    assert_df_matches_frozen(sample_frames(3, 8, seed=0).to_test_space())  # 6561 states
+
+
+def test_bitmask_search_on_the_1100_test_component():
+    others = [f"o{k:02d}" for k in range(23)]
+    subsets = [c for r in (1, 2, 3) for c in itertools.combinations(others, r)]
+    chosen = random.Random(0).sample(subsets, 1100)
+    ts = TestSpace.build(["s", *others], [("s", *c) for c in chosen])
+    assert_df_matches_frozen(ts)
+
+
 # ------------------------------------------------------------------ memo
 
 
