@@ -9,7 +9,8 @@ to a common third event.
 
 Everything here is immutable and deterministic: outcomes are kept in
 lexicographic order, tests in input order, and events are ordered by
-(size, sorted member tuple).
+(size, sorted member tuple).  Each test is also kept as its row, the
+ascending indices of its members: the one member order every layer reads.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ def _column(line: str, k: int) -> int:
     return next(itertools.islice(_TOKEN.finditer(line), k, None)).start() + 1
 
 
+def _index_rows(index: dict[str, int], tests) -> tuple[tuple[int, ...], ...]:
+    """Each test as the indices of its members in name order: the one place
+    that orders a test's members (ascending over a space's sorted outcomes)."""
+    return tuple([tuple([index[x] for x in sorted(t)]) for t in tests])
+
+
 def _containing_index(outcomes, tests) -> dict[str, tuple[int, ...]]:
     """Outcome id -> ascending indices of the tests that contain it.
 
@@ -112,7 +119,11 @@ def _tests_containing(tests, containing, m: frozenset[str]):
 
 @dataclass(frozen=True)
 class TestSpace:
-    """Outcome ids in lexicographic order plus the covering test family."""
+    """Outcome ids in lexicographic order plus the covering test family.
+
+    `_index` maps an outcome to its position; `_rows` holds each test as its
+    members' ascending positions, the one member order every layer reads.
+    """
 
     outcomes: tuple[str, ...]
     tests: tuple[frozenset[str], ...]
@@ -148,6 +159,14 @@ class TestSpace:
         return TestSpace(tuple(sorted(outcomes)), tuple(frozenset(t) for t in tests))
 
     @cached_property
+    def _index(self) -> dict[str, int]:
+        return {x: k for k, x in enumerate(self.outcomes)}
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        return _index_rows(self._index, self.tests)
+
+    @cached_property
     def _containing(self) -> dict[str, tuple[int, ...]]:
         return _containing_index(self.outcomes, self.tests)
 
@@ -163,17 +182,31 @@ class TestSpace:
         return _solve_states(self)
 
     @cached_property
+    def _enumeration(self) -> tuple[tuple[Event, ...], list[list[int]]]:
+        """(events, by_test) from one pass over the rows, once per instance.
+
+        Test i's subsets are index tuples in mask order, bit j picking row
+        member j.  Sorted by (size, tuple), the distinct ones are the events
+        in event_key order, witnessed by their lowest tests; by_test[i][mask]
+        is the position among them of the one mask picks."""
+        first: dict[tuple[int, ...], int] = {}
+        per_test = []
+        for i, row in enumerate(self._rows):
+            subsets = [()]
+            for k in row:
+                subsets += [s + (k,) for s in subsets]
+            for s in subsets:
+                first.setdefault(s, i)
+            per_test.append(subsets)
+        keys = sorted(first, key=lambda s: (len(s), s))
+        number = dict(zip(keys, range(len(keys))))
+        events = tuple(Event(frozenset([self.outcomes[k] for k in s]), first[s]) for s in keys)
+        return events, [[number[s] for s in subsets] for subsets in per_test]
+
+    @cached_property
     def _events(self) -> tuple[Event, ...]:
         """Every event in event_key order, enumerated once per instance."""
-        seen: dict[frozenset[str], int] = {}
-        for i, test in enumerate(self.tests):
-            members = sorted(test)
-            for r in range(len(members) + 1):
-                for combo in itertools.combinations(members, r):
-                    seen.setdefault(frozenset(combo), i)
-        return tuple(
-            Event(m, w) for m, w in sorted(seen.items(), key=lambda kv: event_key(kv[0]))
-        )
+        return self._enumeration[0]
 
     @cached_property
     def _event_structure(self):
@@ -255,25 +288,24 @@ def components(ts: TestSpace) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     Each component is (outcome indices, test indices), both ascending, and
     the components come in the order of their first tests.
     """
-    parent = list(range(len(ts.tests)))
+    parent = list(range(len(ts.outcomes)))  # union-find over the outcomes
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
 
-    first: dict[str, int] = {}
-    for i, test in enumerate(ts.tests):
-        for x in test:
-            a, b = find(first.setdefault(x, i)), find(i)
+    for row in ts._rows:
+        for k in row[1:]:
+            a, b = find(row[0]), find(k)
             if a != b:
                 parent[max(a, b)] = min(a, b)
     groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(len(ts.tests)):
-        groups.setdefault(find(i), ([], []))[1].append(i)
-    for k, x in enumerate(ts.outcomes):
-        groups[find(first[x])][0].append(k)
+    for i, row in enumerate(ts._rows):
+        groups.setdefault(find(row[0]), ([], []))[1].append(i)
+    for k in range(len(ts.outcomes)):
+        groups[find(k)][0].append(k)
     return [(tuple(outs), tuple(tests)) for outs, tests in groups.values()]
 
 
@@ -394,6 +426,6 @@ def dump_test_space(ts: TestSpace, header: str | None = None) -> str:
         for h in header.splitlines():
             lines.append(f"# {h}")
     lines.append("outcomes " + " ".join(ts.outcomes))
-    for test in ts.tests:
-        lines.append("test " + " ".join(sorted(test)))
+    for row in ts._rows:
+        lines.append("test " + " ".join([ts.outcomes[k] for k in row]))
     return "\n".join(lines) + "\n"

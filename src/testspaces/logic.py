@@ -35,6 +35,7 @@ from .core import (
     _check_event_cap,
     _column,
     _lines,
+    event_key,
     member_set,
 )
 
@@ -70,24 +71,18 @@ def _blocks(count: int, width: int):
 def _events_and_complements(ts: TestSpace):
     """(by_test, fibre, witness) over the events of ts, kept as ts._event_structure.
 
-    by_test[i][mask] is the index in ts._events of the sub-event of test i
-    that `mask` picks from its sorted members, so the complement in that
-    test of the entry at `mask` sits at the reversed position.  fibre[k]
+    by_test[i][mask], numbered when the events are enumerated, is the index
+    in ts._events of the sub-event of test i that `mask` picks from its row,
+    so its complement in that test sits at the reversed position.  fibre[k]
     numbers the set of events complementary to event k among the distinct
     ones, in order of first appearance.  The witness is is_algebraic's.
     """
     events = ts._events
-    index = {e.members: k for k, e in enumerate(events)}
+    by_test = ts._enumeration[1]
     comp: list[set[int]] = [set() for _ in events]
-    by_test = []
-    for test in ts.tests:
-        subsets = [frozenset()]
-        for x in sorted(test):
-            subsets += [s | {x} for s in subsets]
-        ids = [index[s] for s in subsets]
+    for ids in by_test:
         for k, c in zip(ids, reversed(ids)):
             comp[k].add(c)
-        by_test.append(ids)
     comp = [frozenset(c) for c in comp]
     numbers: dict[frozenset[int], int] = {}
     fibre = [numbers.setdefault(c, len(numbers)) for c in comp]
@@ -660,7 +655,7 @@ def oa_to_test_space(oa: OrthoalgebraTable) -> TestSpace:
     tests = [frozenset(els[p] for p in chosen) for chosen in found]
     return TestSpace.build(
         sorted(e for e in els if e != oa.zero),
-        sorted(tests, key=lambda t: (len(t), tuple(sorted(t)))),
+        sorted(tests, key=event_key),
     )
 
 

@@ -26,6 +26,7 @@ from .core import (
     ValidationError,
     _column,
     _containing_index,
+    _index_rows,
     _lines,
     _tests_containing,
     dump_test_space,
@@ -77,15 +78,12 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
     rows.append(("covering", covered == set(ids),
                  f"{len(set(ids) - covered)} uncovered"))
     thr = math.sin(ortho_tol)
-    rows_of_size: dict[int, list[int]] = {}  # test size -> sorted member rows
-    for t in tests:
-        rows_of_size.setdefault(len(t), []).extend(index[x] for x in sorted(t))
+    test_rows = _index_rows(index, tests)
     worst = 0.0
-    for k, members in rows_of_size.items():
-        if k > 1:
-            pts = coords[np.array(members).reshape(-1, k)]
-            g = pts @ pts.transpose(0, 2, 1)
-            worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
+    for k in {len(r) for r in test_rows if len(r) > 1}:  # one batch per test size
+        pts = coords[np.array([r for r in test_rows if len(r) == k])]
+        g = pts @ pts.transpose(0, 2, 1)
+        worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
     rows.append(("in-test-orthogonality", worst <= thr,
                  f"max |inner| {worst:.3e} vs {thr:.3e}"))
     return rows
@@ -138,6 +136,11 @@ class MetricSample:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.ids)}
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each test as the rows of its members' points, in name order."""
+        return _index_rows(self._index, self.tests)
 
     @cached_property
     def _containing(self) -> dict[str, tuple[int, ...]]:
@@ -494,13 +497,16 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     When the Hausdorff distance is below half the smaller internal
     separation, the check requires equal cardinalities and exact agreement
     of matching and Hausdorff distances; otherwise it holds vacuously.
-    Both separations and the cross distances are read from one distance
-    matrix over the points of a followed by those of b.
+    Both arguments must be nonempty events of the sample.  Both separations
+    and the cross distances are read from one distance matrix over the
+    points of a followed by those of b.
     """
     ma, mb = frozenset(a), frozenset(b)
     for m in (ma, mb):
         if next(_tests_containing(sample.tests, sample._containing, m), None) is None:
             raise ValidationError(f"{sorted(m)} is not an event of the sample")
+    if not (ma and mb):
+        raise ValidationError("the local-constancy check needs nonempty events")
     k = len(ma)
     pts = np.concatenate([sample.points_of(ma), sample.points_of(mb)])
     full = pairwise_distances(pts, pts)

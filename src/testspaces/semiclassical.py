@@ -47,12 +47,12 @@ class DegenerateTestError(ValidationError):
 
 def overlapping_tests(ts: TestSpace) -> tuple[str, int, int] | None:
     """First outcome shared by two tests as (outcome, i, j), else None."""
-    owner: dict[str, int] = {}
-    for i, test in enumerate(ts.tests):
-        for x in sorted(test):
-            if x in owner:
-                return x, owner[x], i
-            owner[x] = i
+    owner = [-1] * len(ts.outcomes)  # the first test holding each outcome
+    for i, row in enumerate(ts._rows):
+        for k in row:
+            if owner[k] >= 0:
+                return ts.outcomes[k], owner[k], i
+            owner[k] = i
     return None
 
 
@@ -143,15 +143,10 @@ class ExtractionResult:
 
 def _frame_points(sample: MetricSample) -> np.ndarray:
     """Sample coordinates grouped by test, shape (tests, size, dim); each
-    test's points in sorted outcome order."""
-    sizes = {len(t) for t in sample.tests}
-    if len(sizes) != 1:
+    test's points in the order of its row."""
+    if len({len(t) for t in sample.tests}) != 1:
         raise ValidationError("extraction needs tests of one common size")
-    index = sample._index
-    rows = np.array(
-        [index[x] for t in sample.tests for x in sorted(t)], dtype=np.intp
-    )
-    return sample.coords[rows.reshape(len(sample.tests), sizes.pop())]
+    return sample.coords[np.array(sample._rows, dtype=np.intp)]
 
 
 def _slot_columns(pts: np.ndarray) -> np.ndarray:
@@ -228,21 +223,16 @@ def extract_semiclassical(
         selected.append(k)
         separation = min(separation, float(clearance[clear[0]]))
         _nearest_update(slots, mind, pts[k])
-    coverage = float(mind.max()) if selected else np.inf
-    tests = [sample.tests[k] for k in selected]
-    outcomes = sorted(set().union(*tests)) if tests else []
-    if tests:
-        sub_space = TestSpace.build(outcomes, tests)
-        sub_coords = np.stack([sample.point(x) for x in sub_space.outcomes])
-        sub_sample = MetricSample(
-            sub_space.outcomes, sub_coords, sub_space.tests, sample.ortho_tol
-        )
-    else:
+    if not selected:
         raise ValidationError("no open admitted a selection; widen the basis")
+    tests = [sample.tests[k] for k in selected]
+    sub_space = TestSpace.build(set().union(*tests), tests)
+    sub_coords = np.stack([sample.point(x) for x in sub_space.outcomes])
+    sub_sample = MetricSample(sub_space.outcomes, sub_coords, sub_space.tests, sample.ortho_tol)
     return ExtractionResult(
         selected=tuple(selected),
         open_hits=tuple(open_hits),
-        coverage_radius=coverage,
+        coverage_radius=float(mind.max()),
         separation=float(separation),
         margin=margin,
         density_target=density_target,

@@ -73,18 +73,18 @@ def verify_state(ts: TestSpace, state: State, tol: float | None = None):
 
     Exact states must hit [0, 1] and per-test sums of one on the nose;
     float states within `tol` (defaulting to the state's own tolerance).
-    Every outcome must carry a value.
+    Every outcome must carry a value.  Tests are summed in row order, not in
+    the hash-dependent order of their sets.
     """
     worst = Fraction(0) if state.kind == "exact" else 0.0
-    for x in ts.outcomes:
-        v = state[x]
+    values = [state[x] for x in ts.outcomes]
+    for v in values:
         if v < 0:
             worst = max(worst, -v)
         elif v > 1:
             worst = max(worst, v - 1)
-    for test in ts.tests:
-        s = sum(state[x] for x in test)
-        worst = max(worst, abs(s - 1))
+    for row in ts._rows:
+        worst = max(worst, abs(sum(values[k] for k in row) - 1))
     if state.kind == "exact":
         return worst == 0, worst
     limit = state.tolerance if tol is None else tol
@@ -213,22 +213,22 @@ def _solve_states(ts: TestSpace):
     makes the same pivots as on the whole space.  The certificate holds
     every component's duals, feasible components included.
     """
-    outs = ts.outcomes
-    values: dict[str, Fraction] = {}
-    duals: dict[int, Fraction] = {}
+    values = [_ZERO] * len(ts.outcomes)
+    duals = [_ZERO] * len(ts.tests)
+    column = [0] * len(ts.outcomes)  # each outcome's column in its component
     feasible = True
     for out_idx, test_idx in components(ts):
-        column = {outs[k]: j for j, k in enumerate(out_idx)}
-        tests = [[column[x] for x in ts.tests[i]] for i in test_idx]
-        x, y = _phase1_simplex(len(out_idx), tests)
-        if x is None:
-            feasible = False
-        else:
-            values.update(zip((outs[k] for k in out_idx), x))
-        duals.update(zip(test_idx, y))
+        for j, k in enumerate(out_idx):
+            column[k] = j
+        x, y = _phase1_simplex(len(out_idx), [[column[k] for k in ts._rows[i]] for i in test_idx])
+        feasible = feasible and x is not None
+        for k, v in zip(out_idx, x or ()):
+            values[k] = v
+        for i, v in zip(test_idx, y):
+            duals[i] = v
     if feasible:
-        return {x: values[x] for x in outs}, None
-    return None, {i: duals[i] for i in range(len(ts.tests))}
+        return dict(zip(ts.outcomes, values)), None
+    return None, dict(enumerate(duals))
 
 
 def find_state(ts: TestSpace) -> State | None:
@@ -258,20 +258,22 @@ def check_certificate(ts: TestSpace, cert: Mapping[int, Fraction]) -> bool:
     """Re-check an infeasibility certificate with exact arithmetic only."""
     y = [Fraction(cert.get(i, 0)) for i in range(len(ts.tests))]
     for x in ts.outcomes:
-        if sum(y[i] for i in ts.containing(x)) > 0:
+        if sum(y[i] for i in ts._containing[x]) > 0:
             return False
     return sum(y) > 0
 
 
-def _df_masks(tests: Sequence[tuple[str, ...]], bit: Mapping[str, int]) -> list[int]:
+def _df_masks(rows: Sequence[tuple[int, ...]], n: int) -> list[int]:
     """The 0/1 states of one component, each as the sum of its ones' bits.
 
-    Backtracking over the tests, always branching on the currently most
-    constrained test: the fewest candidates, then the lowest index.  The
-    outcomes decided so far are two bitmasks, `ones` and `zeros`.
+    `rows` are its tests' rows in a space of n outcomes; outcome k owns bit
+    n-1-k.  Backtracking over the tests, always branching on the currently
+    most constrained test: the fewest candidates, then the lowest index.
+    The outcomes decided so far are two bitmasks, `ones` and `zeros`.
     """
-    tmask = [sum(bit[x] for x in t) for t in tests]
-    undecided = set(range(len(tests)))
+    bits = [[1 << (n - 1 - k) for k in row] for row in rows]
+    tmask = [sum(b) for b in bits]
+    undecided = set(range(len(rows)))
     masks: list[int] = []
     ones = zeros = 0
 
@@ -292,7 +294,7 @@ def _df_masks(tests: Sequence[tuple[str, ...]], bit: Mapping[str, int]) -> list[
             i = min(undecided, key=lambda t: (allowed(t).bit_count(), t))
             undecided.discard(i)
             cand = allowed(i)
-            stack.append((i, iter([bit[x] for x in tests[i] if bit[x] & cand]), ones, zeros))
+            stack.append((i, iter([b for b in bits[i] if b & cand]), ones, zeros))
         else:
             masks.append(ones)
         while stack:  # move to the next candidate of the deepest open test
@@ -315,12 +317,7 @@ def _search_components(ts: TestSpace) -> list[list[int]]:
     mask per component compares the value tuples over `ts.outcomes`.
     """
     n = len(ts.outcomes)
-    per_component = []
-    for out_idx, test_idx in components(ts):
-        bit = {ts.outcomes[k]: 1 << (n - 1 - k) for k in out_idx}
-        tests = [tuple(sorted(ts.tests[i])) for i in test_idx]
-        per_component.append(_df_masks(tests, bit))
-    return per_component
+    return [_df_masks([ts._rows[i] for i in tests], n) for _outs, tests in components(ts)]
 
 
 def _check_df_cap(ts: TestSpace, cap: int) -> None:
@@ -439,16 +436,10 @@ def perp_separating(ts: TestSpace, states: Sequence[State]) -> bool:
     For every distinct non-orthogonal pair some state must give the pair a
     total weight above one, and no state may do so for an orthogonal pair.
     """
-    from .core import orthogonal
-
-    for x, y in itertools.combinations(ts.outcomes, 2):
-        sums = [st[x] + st[y] for st in states]
-        if orthogonal(ts, x, y):
-            if any(s > 1 for s in sums):
-                return False
-        else:
-            if not any(s > 1 for s in sums):
-                return False
+    perp = {pair for row in ts._rows for pair in itertools.combinations(row, 2)}
+    for (i, x), (j, y) in itertools.combinations(enumerate(ts.outcomes), 2):
+        if any([st[x] + st[y] > 1 for st in states]) == ((i, j) in perp):
+            return False
     return True
 
 
@@ -460,11 +451,11 @@ def hidden_variable_state(result, seed: int = 0) -> State:
     """
     if not result.tests:
         raise ValidationError("extraction selected no tests")
+    selection = TestSpace.build(set().union(*result.tests), result.tests)
     rng = random.Random(seed)
     values: dict[str, Fraction] = {}
-    for test in result.tests:
-        members = sorted(test)
-        pick = members[rng.randrange(len(members))]
-        for x in members:
-            values[x] = Fraction(1 if x == pick else 0)
+    for row in selection._rows:
+        pick = row[rng.randrange(len(row))]
+        for k in row:
+            values[selection.outcomes[k]] = Fraction(1 if k == pick else 0)
     return State.exact(values)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testspaces import corpus
+from testspaces import corpus, logic as logic_module
 from testspaces.core import (
     CapExceededError,
     Event,
@@ -31,6 +33,8 @@ from testspaces.core import (
     perspective,
     redundant_test_pairs,
 )
+from testspaces.metric import MetricSample, sample_frames
+from testspaces.semiclassical import _frame_points, overlapping_tests
 
 from oracles import brute_events
 
@@ -323,3 +327,122 @@ def assert_containment_as_frozen(ts, rnd):
         assert is_event(ts, m) == frozen_is_event(ts, m)
         assert outcome_or_error(as_event, ts, m) == outcome_or_error(frozen_as_event, ts, m)
         assert complements_of(ts, m) == frozen_complements_of(ts, m)
+
+
+# ------------------------------------------------ name-level layouts
+
+# Events, their complements, components, the overlap scan and the frame
+# points as they were computed from outcome names, before every layer read
+# each test as its row of outcome indices; kept as the reference.
+
+
+def frozen_events(ts):
+    seen = {}
+    for i, test in enumerate(ts.tests):
+        members = sorted(test)
+        for r in range(len(members) + 1):
+            for combo in itertools.combinations(members, r):
+                seen.setdefault(frozenset(combo), i)
+    return tuple(Event(m, w) for m, w in sorted(seen.items(), key=lambda kv: event_key(kv[0])))
+
+
+def frozen_events_and_complements(ts):
+    events = frozen_events(ts)
+    index = {e.members: k for k, e in enumerate(events)}
+    comp = [set() for _ in events]
+    by_test = []
+    for test in ts.tests:
+        subsets = [frozenset()]
+        for x in sorted(test):
+            subsets += [s | {x} for s in subsets]
+        ids = [index[s] for s in subsets]
+        for k, c in zip(ids, reversed(ids)):
+            comp[k].add(c)
+        by_test.append(ids)
+    comp = [frozenset(c) for c in comp]
+    numbers = {}
+    fibre = [numbers.setdefault(c, len(numbers)) for c in comp]
+    return by_test, fibre, logic_module._algebraic_witness(events, comp, fibre)
+
+
+def frozen_components(ts):
+    parent = list(range(len(ts.tests)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}
+    for i, test in enumerate(ts.tests):
+        for x in test:
+            a, b = find(first.setdefault(x, i)), find(i)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(ts.tests)):
+        groups.setdefault(find(i), ([], []))[1].append(i)
+    for k, x in enumerate(ts.outcomes):
+        groups[find(first[x])][0].append(k)
+    return [(tuple(outs), tuple(tests)) for outs, tests in groups.values()]
+
+
+def frozen_overlapping_tests(ts):
+    owner = {}
+    for i, test in enumerate(ts.tests):
+        for x in sorted(test):
+            if x in owner:
+                return x, owner[x], i
+            owner[x] = i
+    return None
+
+
+def frozen_frame_points(sample):
+    sizes = {len(t) for t in sample.tests}
+    if len(sizes) != 1:
+        raise ValidationError("extraction needs tests of one common size")
+    index = sample._index
+    rows = np.array([index[x] for t in sample.tests for x in sorted(t)], dtype=np.intp)
+    return sample.coords[rows.reshape(len(sample.tests), sizes.pop())]
+
+
+# Names whose sorted order differs from the order they are drawn in, and
+# from their numeric order: "a10" < "a9", "B" < "a" < "b", "_" between cases.
+TRICKY_NAMES = [p + k for p in ("a", "A", "b", "B") for k in ("1", "2", "9", "10", "11", "100")]
+TRICKY_NAMES += ["Z", "z", "_"]
+
+
+def renamed(ts, rnd):
+    """ts with its outcomes renamed from TRICKY_NAMES, listed unsorted, and
+    its tests in a shuffled order."""
+    names = rnd.sample(TRICKY_NAMES, len(ts.outcomes))
+    rename = dict(zip(ts.outcomes, names))
+    tests = [frozenset(rename[x] for x in t) for t in ts.tests]
+    rnd.shuffle(tests)
+    return TestSpace.build(names, tests)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_row_layout_equals_the_name_level_reference(rnd):
+    """Overlapping and disjoint spaces, and a sample whose ids are neither
+    sorted nor in test order."""
+    for ts in (
+        renamed(corpus.random_test_space(rnd, max_universe=12, max_tests=6), rnd),
+        renamed(corpus.random_semiclassical(rnd), rnd),
+    ):
+        assert ts._events == frozen_events(ts)
+        assert logic_module._events_and_complements(ts) == frozen_events_and_complements(ts)
+        assert components(ts) == frozen_components(ts)
+        assert overlapping_tests(ts) == frozen_overlapping_tests(ts)
+    d, count = rnd.randint(2, 4), rnd.randint(1, 5)
+    frames = sample_frames(d, count, rnd.randrange(1000))
+    rename = dict(zip(frames.ids, rnd.sample(TRICKY_NAMES, d * count)))
+    order = rnd.sample(range(d * count), d * count)
+    sample = MetricSample(
+        tuple(rename[frames.ids[i]] for i in order),
+        frames.coords[order],
+        tuple(frozenset(rename[x] for x in t) for t in frames.tests),
+    )
+    assert np.array_equal(_frame_points(sample), frozen_frame_points(sample))

@@ -695,8 +695,11 @@ def perturbed_frames_sample(d: int, frames: int, eps: float, seed: int) -> Metri
 def answer_or_error(f, *args):
     try:
         return f(*args)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         return (type(exc), str(exc))
+
+
+EMPTY_EVENT = (ValidationError, "the local-constancy check needs nonempty events")
 
 
 @settings(max_examples=60, deadline=None)
@@ -709,7 +712,8 @@ def answer_or_error(f, *args):
 def test_locally_constant_equals_the_frozen_check(d, frames, eps, seed):
     """Matched tilted copies (the guard holds and the matching runs),
     unequal sizes, empty events, and non-events with their messages;
-    d > 7 takes the stacked distance route."""
+    d > 7 takes the stacked distance route.  An empty event, which the
+    frozen check met with numpy's zero-size reduction error, is refused."""
     s = perturbed_frames_sample(d, frames, eps, seed % 1000)
     rng = np.random.default_rng(seed)
     for draw in range(16):
@@ -725,6 +729,10 @@ def test_locally_constant_equals_the_frozen_check(d, frames, eps, seed):
         elif kind == 3:  # a member of another test, or an unknown id
             (a, b)[draw % 2].append(str(rng.choice([f"g{k}.0", f"f{(k + 1) % frames}.0", "zz"])))
         got = answer_or_error(event_cardinality_locally_constant, s, a, b)
+        events = all(any(frozenset(m) <= t for t in s.tests) for m in (a, b))
+        if events and not (a and b):
+            assert got == EMPTY_EVENT
+            continue
         want = answer_or_error(frozen_locally_constant, s, a, b)
         assert got == want
         assert type(got) is type(want)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import testspaces
 from testspaces import corpus, states as states_module
 from testspaces.core import (
     CapExceededError,
@@ -16,6 +20,7 @@ from testspaces.core import (
     ValidationError,
     components,
     load_test_space,
+    orthogonal,
 )
 from testspaces.metric import sample_frames
 from testspaces.states import (
@@ -191,6 +196,32 @@ def test_gleason_state_sums_to_one_per_test():
         assert ok, worst
 
 
+# The worst per-test sum of a float state on 10 000 outcomes, printed exactly.
+HASH_SEED_PROBE = """
+import numpy as np
+from testspaces.metric import sample_frames
+from testspaces.states import DensityMatrix, gleason_state, verify_state
+sample = sample_frames(5, 2000, 0)
+state = gleason_state(sample, DensityMatrix.random(5, np.random.default_rng(0)))
+print(repr(verify_state(sample.to_test_space(), state)[1]))
+"""
+
+
+def test_float_verify_state_does_not_depend_on_the_hash_seed():
+    """Each test is summed in one member order, whatever order its set keeps."""
+    package_root = os.path.dirname(os.path.dirname(testspaces.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    worst = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_PROBE],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert worst[0] == worst[1]
+
+
 def test_gleason_state_dimension_mismatch():
     sample = sample_frames(3, 2, seed=0)
     with pytest.raises(ValidationError, match="dimension"):
@@ -211,6 +242,34 @@ def test_perp_separating_fails_without_coverage(spaces):
     kept = [s for s in dispersion_free_states(ts) if support(s) != {"a", "c"}]
     # nothing left to push a+c above one
     assert not perp_separating(ts, kept)
+
+
+def frozen_perp_separating(ts, states):
+    """perp_separating before it read orthogonality from the rows; kept as
+    the reference."""
+    for x, y in itertools.combinations(ts.outcomes, 2):
+        sums = [st[x] + st[y] for st in states]
+        if orthogonal(ts, x, y):
+            if any(s > 1 for s in sums):
+                return False
+        else:
+            if not any(s > 1 for s in sums):
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=30_000))
+def test_perp_separating_equals_the_frozen_pair_scan(seed):
+    """Overlapping and disjoint spaces, with all their 0/1 states, half of
+    them, and one random state."""
+    rng = random.Random(seed)
+    for ts in (corpus.random_test_space(rng, max_universe=8, max_tests=5),
+               corpus.random_semiclassical(rng, max_tests=3, max_size=3)):
+        family = dispersion_free_states(ts)
+        weights = State.exact({x: F(rng.randint(0, 2), 2) for x in ts.outcomes})
+        for states in (family, rng.sample(family, len(family) // 2), [weights]):
+            assert perp_separating(ts, states) == frozen_perp_separating(ts, states)
 
 
 # ------------------------------------------------------- hidden variables
@@ -566,8 +625,10 @@ def frozen_df_listing(ts):
 
 
 def assert_df_matches_frozen(ts):
-    for tests, bit in df_problems(ts):
-        assert states_module._df_masks(tests, bit) == frozen_df_masks(tests, bit)
+    n = len(ts.outcomes)
+    for (tests, bit), (_out_idx, test_idx) in zip(df_problems(ts), components(ts)):
+        rows = [ts._rows[i] for i in test_idx]
+        assert states_module._df_masks(rows, n) == frozen_df_masks(tests, bit)
     got = [list(s.values.items()) for s in dispersion_free_states(ts)]
     assert got == [list(values.items()) for values in frozen_df_listing(ts)]
     shared = (states_module._ZERO, states_module._ONE)
