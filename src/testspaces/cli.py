@@ -46,6 +46,7 @@ from .metric import (
     sidecar_path,
 )
 from .semiclassical import (
+    DEFAULT_MARGIN,
     auto_basis,
     extend_basis,
     extract_semiclassical,
@@ -166,7 +167,7 @@ def _cmd_states(args) -> int:
             raise TspError(str(exc)) from exc
         rows.append(("dispersion_free", len(dfs)))
         for k, df in enumerate(dfs):
-            ones = sorted(x for x in ts.outcomes if df[x] == 1)
+            ones = [x for x in ts.outcomes if df[x] == 1]
             rows.append((f"df {k}", ",".join(ones)))
         covered, uncovered = is_udf(ts, cap=args.df_cap)
         rows.append(("unital", covered))
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True, help="auto:N or file:PATH")
     p.add_argument("--delta", type=float, default=0.3,
                    help="density target; also sizes auto-basis opens")
-    p.add_argument("--margin", type=float, default=1e-6,
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                    help="required clearance between selected tests")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the reported hidden-variable state")

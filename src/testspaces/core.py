@@ -84,36 +84,21 @@ def _index_rows(index: dict[str, int], tests) -> tuple[tuple[int, ...], ...]:
     return tuple([tuple([index[x] for x in sorted(t)]) for t in tests])
 
 
-def _containing_index(outcomes, tests) -> dict[str, tuple[int, ...]]:
-    """Outcome id -> ascending indices of the tests that contain it.
-
-    Outcomes held by the same tests share one tuple, so a space whose
-    tests are disjoint keeps one tuple per test.
-    """
-    idx: dict[str, list[int]] = {x: [] for x in outcomes}
-    for i, test in enumerate(tests):
-        for x in test:
-            idx[x].append(i)
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    return {x: shared.setdefault(t, t) for x, t in zip(idx, map(tuple, idx.values()))}
-
-
-def _tests_containing(tests, containing, m: frozenset[str]):
-    """Yield, ascending, the indices of the tests that contain every member
-    of m; `containing` is the _containing_index of the tests.
+def _tests_containing(ts: TestSpace, m: frozenset[str]):
+    """Yield, ascending, the indices of the tests of ts that contain all of m.
 
     Only the tests that contain the member held by the fewest tests are
     tried; an unknown member is in no test, and the empty set is in all.
     """
     if not m:
-        yield from range(len(tests))
+        yield from range(len(ts.tests))
         return
     try:
-        fewest = min((containing[x] for x in m), key=len)
+        fewest = min((ts._containing[x] for x in m), key=len)
     except KeyError:
         return
     for i in fewest:
-        if m <= tests[i]:
+        if m <= ts.tests[i]:
             yield i
 
 
@@ -168,7 +153,14 @@ class TestSpace:
 
     @cached_property
     def _containing(self) -> dict[str, tuple[int, ...]]:
-        return _containing_index(self.outcomes, self.tests)
+        """Outcome id -> ascending indices of the tests that contain it; outcomes
+        held by the same tests share one tuple (one per test when disjoint)."""
+        idx: dict[str, list[int]] = {x: [] for x in self.outcomes}
+        for i, test in enumerate(self.tests):
+            for x in test:
+                idx[x].append(i)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        return {x: shared.setdefault(t, t) for x, t in zip(idx, map(tuple, idx.values()))}
 
     @cached_property
     def test_set(self) -> frozenset[frozenset[str]]:
@@ -262,13 +254,13 @@ def event_key(obj: EventLike) -> tuple[int, tuple[str, ...]]:
 
 def is_event(ts: TestSpace, members: EventLike) -> bool:
     m = member_set(members)
-    return next(_tests_containing(ts.tests, ts._containing, m), None) is not None
+    return next(_tests_containing(ts, m), None) is not None
 
 
 def as_event(ts: TestSpace, members: EventLike) -> Event:
     """Wrap a member set as an Event, witnessed by the lowest containing test."""
     m = member_set(members)
-    i = next(_tests_containing(ts.tests, ts._containing, m), None)
+    i = next(_tests_containing(ts, m), None)
     if i is None:
         raise ValidationError(f"{sorted(m)} is not a subset of any test")
     return Event(m, i)
@@ -341,7 +333,7 @@ def orthogonal_events(ts: TestSpace, a: EventLike, b: EventLike) -> bool:
 def complements_of(ts: TestSpace, a: EventLike) -> frozenset[frozenset[str]]:
     """All events complementary to `a`: the test remainders over tests containing it."""
     m = member_set(a)
-    return frozenset(ts.tests[i] - m for i in _tests_containing(ts.tests, ts._containing, m))
+    return frozenset(ts.tests[i] - m for i in _tests_containing(ts, m))
 
 
 def perspective(ts: TestSpace, a: EventLike, b: EventLike) -> bool:

@@ -659,14 +659,22 @@ def oa_to_test_space(oa: OrthoalgebraTable) -> TestSpace:
     )
 
 
+def _fold(oa: OrthoalgebraTable, members: Iterable[str]) -> int:
+    """Sum the named elements in sorted order on the index-level table; -1 where undefined."""
+    sums, idx = oa._sums, oa._idx
+    plus = sums._table.item
+    acc = sums.zero
+    for e in sorted(members):
+        acc = plus(acc, idx[e])
+        if acc < 0:
+            break
+    return acc
+
+
 def fold_osum(oa: OrthoalgebraTable, members: Iterable[str]) -> str | None:
     """Sum a set of elements in sorted order; None when undefined."""
-    acc = oa.zero
-    for e in sorted(members):
-        acc = oa.osum_of(acc, e)
-        if acc is None:
-            return None
-    return acc
+    r = _fold(oa, members)
+    return None if r < 0 else oa.elements[r]
 
 
 def roundtrip_logic(oa: OrthoalgebraTable) -> dict[int, str] | None:
@@ -683,21 +691,10 @@ def _roundtrip(oa: OrthoalgebraTable, ts: TestSpace) -> dict[int, str] | None:
     logic = build_logic(ts)
     if len(logic) != oa.size:
         return None
-    sums, idx = oa._sums, oa._idx
-    plus = sums._table.item
-
-    def fold(members) -> int:
-        """fold_osum on the index-level table: -1 where it gives None."""
-        acc = sums.zero
-        for e in sorted(members):
-            acc = plus(acc, idx[e])
-            if acc < 0:
-                break
-        return acc
-
+    sums = oa._sums
     phi: list[int] = []
     for grp in logic.classes:
-        vals = {fold(m) for m in grp}
+        vals = {_fold(oa, m) for m in grp}
         if len(vals) != 1 or -1 in vals:
             return None
         phi.append(vals.pop())

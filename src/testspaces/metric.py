@@ -25,11 +25,10 @@ from .core import (
     UnknownOutcomeError,
     ValidationError,
     _column,
-    _containing_index,
     _index_rows,
     _lines,
-    _tests_containing,
     dump_test_space,
+    is_event,
     load_test_space,
 )
 
@@ -143,8 +142,8 @@ class MetricSample:
         return _index_rows(self._index, self.tests)
 
     @cached_property
-    def _containing(self) -> dict[str, tuple[int, ...]]:
-        return _containing_index(self.ids, self.tests)
+    def _test_space(self) -> TestSpace:
+        return TestSpace.build(self.ids, self.tests)
 
     @property
     def dim(self) -> int:
@@ -182,7 +181,8 @@ class MetricSample:
         return np.concatenate(chunks)
 
     def to_test_space(self) -> TestSpace:
-        return TestSpace.build(self.ids, self.tests)
+        """The combinatorial side of the sample, built once on first use."""
+        return self._test_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,7 +503,7 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     """
     ma, mb = frozenset(a), frozenset(b)
     for m in (ma, mb):
-        if next(_tests_containing(sample.tests, sample._containing, m), None) is None:
+        if not is_event(sample.to_test_space(), m):
             raise ValidationError(f"{sorted(m)} is not an event of the sample")
     if not (ma and mb):
         raise ValidationError("the local-constancy check needs nonempty events")

@@ -149,10 +149,10 @@ def _frame_points(sample: MetricSample) -> np.ndarray:
     return sample.coords[np.array(sample._rows, dtype=np.intp)]
 
 
-def _slot_columns(pts: np.ndarray) -> np.ndarray:
+def _slots(sample: MetricSample) -> np.ndarray:
     """The points in slot s of every test, as slots[s] of shape (tests, dim)
-    with contiguous coordinate columns."""
-    return pts.transpose(1, 2, 0).copy().transpose(0, 2, 1)
+    with contiguous coordinate columns; test t's points are slots[:, t]."""
+    return _frame_points(sample).transpose(1, 2, 0).copy().transpose(0, 2, 1)
 
 
 def _nearest_update(slots: np.ndarray, mind: np.ndarray, points) -> None:
@@ -194,10 +194,9 @@ def extract_semiclassical(
     basis = tuple(basis)
     if not basis:
         raise ValidationError("basis must contain at least one open")
-    pts = _frame_points(sample)
-    count, size, dim = pts.shape
+    slots = _slots(sample)
+    size, count, dim = slots.shape
     _check_basis(basis, dim)
-    slots = _slot_columns(pts)
     mind = np.full((size, count), np.inf)  # distance to the selected points
     selected: list[int] = []
     open_hits: list[int | None] = []
@@ -222,13 +221,13 @@ def extract_semiclassical(
         open_hits.append(k)
         selected.append(k)
         separation = min(separation, float(clearance[clear[0]]))
-        _nearest_update(slots, mind, pts[k])
+        _nearest_update(slots, mind, slots[:, k])
     if not selected:
         raise ValidationError("no open admitted a selection; widen the basis")
-    tests = [sample.tests[k] for k in selected]
-    sub_space = TestSpace.build(set().union(*tests), tests)
-    sub_coords = np.stack([sample.point(x) for x in sub_space.outcomes])
-    sub_sample = MetricSample(sub_space.outcomes, sub_coords, sub_space.tests, sample.ortho_tol)
+    tests = tuple(sample.tests[k] for k in selected)
+    ids = tuple(sorted(set().union(*tests)))
+    sub_coords = sample.coords[[sample._index[x] for x in ids]]
+    sub_sample = MetricSample(ids, sub_coords, tests, sample.ortho_tol)
     return ExtractionResult(
         selected=tuple(selected),
         open_hits=tuple(open_hits),
@@ -236,22 +235,23 @@ def extract_semiclassical(
         separation=float(separation),
         margin=margin,
         density_target=density_target,
-        sub_test_space=sub_space,
+        sub_test_space=sub_sample.to_test_space(),
         sub_sample=sub_sample,
     )
 
 
-def _coverage_sweep(pts, slots, mind, chosen, n_new):
+def _coverage_sweep(slots, mind, n_new):
     """Advance the farthest-point sweep by n_new anchors, updating mind."""
-    anchors = []
+    anchors: list[int] = []
+    chosen: set[int] = set()
     while len(anchors) < n_new:
         # the first test holding a farthest point, as in test-major order
         owner = int(np.argmax(mind.max(axis=0)))
         if owner in chosen:  # everything already at distance zero
-            owner = min(k for k in range(len(pts)) if k not in chosen)
+            owner = min(k for k in range(slots.shape[1]) if k not in chosen)
         anchors.append(owner)
         chosen.add(owner)
-        _nearest_update(slots, mind, pts[owner])
+        _nearest_update(slots, mind, slots[:, owner])
     return anchors
 
 
@@ -267,6 +267,17 @@ def _open_radius(delta: float, achieved: float) -> float:
     return slack if slack > 0 else delta / 4
 
 
+def _sweep_opens(slots, seeds, n_new: int, delta: float):
+    """n_new basic opens, one around each anchor of a farthest-point sweep
+    that starts from the point sets in seeds."""
+    mind = np.full(slots.shape[:2], np.inf)
+    for points in seeds:
+        _nearest_update(slots, mind, points)
+    anchors = _coverage_sweep(slots, mind, n_new)
+    radius = _open_radius(delta, float(mind.max()))
+    return tuple(basic_open(slots[:, a], radius) for a in anchors)
+
+
 def auto_basis(sample: MetricSample, n_opens: int, delta: float):
     """Basic opens whose anchors aim to cover the sampled points at `delta`.
 
@@ -280,16 +291,11 @@ def auto_basis(sample: MetricSample, n_opens: int, delta: float):
     """
     if delta <= 0:
         raise ValidationError("density target must be positive")
-    pts = _frame_points(sample)
-    count, size, _dim = pts.shape
+    slots = _slots(sample)
+    count = slots.shape[1]
     if not 1 <= n_opens <= count:
         raise ValidationError(f"need between 1 and {count} opens, got {n_opens}")
-    slots = _slot_columns(pts)
-    mind = np.full((size, count), np.inf)
-    _nearest_update(slots, mind, pts[0])
-    anchors = [0] + _coverage_sweep(pts, slots, mind, {0}, n_opens - 1)
-    radius = _open_radius(delta, float(mind.max()))
-    return tuple(basic_open(pts[a], radius) for a in anchors)
+    return _sweep_opens(slots, (), n_opens, delta)
 
 
 def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
@@ -306,12 +312,6 @@ def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
         raise ValidationError("need at least one additional open")
     if delta <= 0:
         raise ValidationError("density target must be positive")
-    pts = _frame_points(sample)
-    _check_basis(basis, pts.shape[2])
-    slots = _slot_columns(pts)
-    mind = np.full(slots.shape[:2], np.inf)
-    for open_ in basis:
-        _nearest_update(slots, mind, open_.centers)
-    anchors = _coverage_sweep(pts, slots, mind, set(), n_more)
-    radius = _open_radius(delta, float(mind.max()))
-    return basis + tuple(basic_open(pts[a], radius) for a in anchors)
+    slots = _slots(sample)
+    _check_basis(basis, slots.shape[2])
+    return basis + _sweep_opens(slots, [o.centers for o in basis], n_more, delta)

@@ -236,7 +236,7 @@ def find_state(ts: TestSpace) -> State | None:
     values, _cert = ts._state_solution
     if values is None:
         return None
-    state = State.exact(values)
+    state = State(dict(values), "exact")  # copied: the solve is cached, State.values is mutable
     ok, worst = verify_state(ts, state)
     if not ok:  # the solver guarantees feasibility; treat failure as a bug
         raise AssertionError(f"solver returned an invalid state (off by {worst})")
@@ -457,5 +457,5 @@ def hidden_variable_state(result, seed: int = 0) -> State:
     for row in selection._rows:
         pick = row[rng.randrange(len(row))]
         for k in row:
-            values[selection.outcomes[k]] = Fraction(1 if k == pick else 0)
-    return State.exact(values)
+            values[selection.outcomes[k]] = _ONE if k == pick else _ZERO
+    return State(values, "exact")

@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from testspaces import metric as metric_module
-from testspaces.core import UnknownOutcomeError, ValidationError
+from testspaces.core import TestSpace, UnknownOutcomeError, ValidationError, dump_test_space
 from testspaces.metric import (
     ConvergenceError,
     MetricSample,
@@ -331,6 +331,17 @@ def test_metric_sample_accessors():
     assert ts.outcomes == ("a", "b", "c")
     with pytest.raises(UnknownOutcomeError):
         s.index_of("zzz")
+
+
+@pytest.mark.parametrize("d", [3, 11])
+def test_to_test_space_is_built_once(d):
+    """From d = 11 on, sample_frames lists f….10 before f….2, so the ids
+    are not sorted and the space sorts them."""
+    s = sample_frames(d, 5, seed=4)
+    ts = s.to_test_space()
+    assert s.to_test_space() is ts
+    assert ts == TestSpace.build(s.ids, s.tests)
+    assert (list(s.ids) == sorted(s.ids)) == (d < 11)
 
 
 def test_metric_sample_rejects_bad_data():
@@ -704,15 +715,17 @@ EMPTY_EVENT = (ValidationError, "the local-constancy check needs nonempty events
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=2, max_value=11),
     st.integers(min_value=1, max_value=4),
     st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.5]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(11, 3, 1e-6, 5)
 def test_locally_constant_equals_the_frozen_check(d, frames, eps, seed):
     """Matched tilted copies (the guard holds and the matching runs),
     unequal sizes, empty events, and non-events with their messages;
-    d > 7 takes the stacked distance route.  An empty event, which the
+    d > 7 takes the stacked distance route, and d = 11 names a test's
+    members so that f….10 sorts before f….2.  An empty event, which the
     frozen check met with numpy's zero-size reduction error, is refused."""
     s = perturbed_frames_sample(d, frames, eps, seed % 1000)
     rng = np.random.default_rng(seed)
@@ -840,14 +853,16 @@ def test_sum_map_lipschitz_first_coordinate_under_rotation():
 
 
 def test_save_load_roundtrip_is_exact(tmp_path):
-    s = sample_frames(3, 7, seed=21)
-    tsp, coords = save_sample(s, tmp_path / "frames.tsp", header="frames dim=3")
-    text = (tmp_path / "frames.tsp").read_text()
-    assert text.startswith("# frames dim=3\n")
-    loaded = load_sample(tsp)
-    assert loaded.ids == s.ids
-    assert np.array_equal(loaded.coords, s.coords)  # repr() round-trips floats
-    assert set(loaded.tests) == set(s.tests)
+    for d in (3, 11):  # at d = 11 the ids are not sorted; the file lists them sorted
+        s = sample_frames(d, 7, seed=21)
+        tsp, coords = save_sample(s, tmp_path / f"frames{d}.tsp", header=f"frames dim={d}")
+        want = dump_test_space(TestSpace.build(s.ids, s.tests), f"frames dim={d}")
+        assert (tmp_path / f"frames{d}.tsp").read_bytes() == want.encode()
+        loaded = load_sample(tsp)
+        assert loaded.ids == tuple(sorted(s.ids))
+        # repr() round-trips floats
+        assert np.array_equal(loaded.coords, np.stack([s.point(x) for x in loaded.ids]))
+        assert loaded.tests == s.tests
 
 
 def test_load_sample_reports_missing_coordinates(tmp_path):

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from testspaces import corpus
 from testspaces.core import TestSpace, ValidationError
@@ -15,6 +15,7 @@ from testspaces.metric import (
     VietorisBasicOpen,
     basic_open,
     sample_frames,
+    save_sample,
     vietoris_member,
 )
 from testspaces.semiclassical import (
@@ -193,6 +194,7 @@ def test_extraction_result_invariants_on_frames():
     basis = auto_basis(frames, 8, delta=0.9)
     result = extract_semiclassical(frames, basis, density_target=0.9)
     sub = result.sub_test_space
+    assert sub is result.sub_sample.to_test_space()  # one space, shared
     assert is_semiclassical(sub)
     assert result.separation >= result.margin
     for open_index, test_index in result.basis_hits.items():
@@ -207,6 +209,22 @@ def test_extraction_result_invariants_on_frames():
     ok, worst = verify_state(sub, state)
     assert ok and worst == 0
     assert result.summary["selected"] == len(result.selected)
+
+
+def test_extraction_and_save_build_one_sub_space(tmp_path, monkeypatch):
+    frames = sample_frames(11, 30, seed=6)
+    basis = auto_basis(frames, 8, delta=1.0)
+    built = []
+    init = TestSpace.__post_init__
+
+    def counting(ts):
+        built.append(ts.outcomes)
+        init(ts)
+
+    monkeypatch.setattr(TestSpace, "__post_init__", counting)
+    result = extract_semiclassical(frames, basis)
+    save_sample(result.sub_sample, tmp_path / "sub.tsp")
+    assert built == [result.sub_sample.ids]  # sorted: f….10 before f….2
 
 
 # ------------------------------------------------------------ auto basis
@@ -382,24 +400,43 @@ def assert_same_basis(got, want):
         assert np.array_equal(u.radii, v.radii)
 
 
+def frozen_sub_sample(sample, selected):
+    """The sub-sample as extraction built it from a TestSpace of the picked
+    tests, as (ids, coords, tests, ortho_tol); kept as reference."""
+    tests = [sample.tests[k] for k in selected]
+    space = TestSpace.build(set().union(*tests), tests)
+    coords = np.stack([sample.point(x) for x in space.outcomes])
+    return space.outcomes, coords, space.tests, sample.ortho_tol
+
+
 def extraction_answer(sample, basis, margin):
+    """(selected, open_hits, coverage_radius, separation), or None when no
+    open admits a selection; the sub-sample must equal the frozen one."""
     try:
         result = extract_semiclassical(sample, basis, margin=margin)
     except ValidationError as exc:
         assert "widen the basis" in str(exc)
         return None
+    sub = result.sub_sample
+    ids, coords, tests, ortho_tol = frozen_sub_sample(sample, result.selected)
+    assert (sub.ids, sub.tests, sub.ortho_tol) == (ids, tests, ortho_tol)
+    assert np.array_equal(sub.coords, coords)
+    assert result.sub_test_space is sub.to_test_space()
     return result.selected, result.open_hits, result.coverage_radius, result.separation
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    d=st.sampled_from([3, 4, 8]),
+    d=st.sampled_from([3, 4, 8, 11]),
     count=st.integers(min_value=2, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     overlap=st.booleans(),
     delta=st.sampled_from([0.05, 0.3, 0.9, 2.5]),
     margin=st.sampled_from([1e-6, 0.05, 0.3, 1.0]),
 )
+# d = 11 lists f….10 before f….2, so the sample's ids are not sorted
+@example(d=11, count=12, seed=3, overlap=False, delta=0.9, margin=1e-6)
+@example(d=11, count=12, seed=4, overlap=True, delta=2.5, margin=0.05)
 def test_sweeps_and_extraction_equal_frozen_reference(d, count, seed, overlap, delta, margin):
     sample = overlapping_frames(d, count, seed) if overlap else sample_frames(d, count, seed)
     rng = np.random.default_rng(seed)
