@@ -52,7 +52,13 @@ class NotTotallyNonOrthogonalError(TspError):
 
 
 def check_sample_invariants(ids, coords, tests, ortho_tol):
-    """Invariant battery for sampled spaces; list of (name, ok, detail) rows."""
+    """Invariant battery for sampled spaces; list of (name, ok, detail) rows.
+
+    A tolerance that is not finite and nonnegative has no meaning as an
+    angle, so it raises ValidationError instead of giving a row.
+    """
+    if not 0 <= ortho_tol < math.inf:
+        raise ValidationError(f"orthogonality tolerance must be finite and >= 0, got {ortho_tol}")
     rows = []
     n, d = coords.shape if coords.ndim == 2 else (0, 0)
     rows.append(("shape", coords.ndim == 2 and n == len(ids) and d >= 2,
@@ -426,6 +432,8 @@ def matching_distance(a, b) -> float:
     """Minimum over bijections of the largest paired distance (bottleneck)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValidationError("matching distance needs nonempty point sets")
     if a.shape[0] != b.shape[0]:
         raise ValidationError(
             f"matching distance needs equal cardinalities, got {a.shape[0]} and {b.shape[0]}"
@@ -460,7 +468,7 @@ def rank_bound(sample: MetricSample, cap_radius: float) -> int:
     orthogonal set meets each such cap at most once, the number of caps
     bounds the size of every pairwise orthogonal subset.
     """
-    if cap_radius <= 0:
+    if not cap_radius > 0:
         raise ValidationError("cap radius must be positive")
     pts = sample.coords
     covered = np.zeros(len(pts), dtype=bool)

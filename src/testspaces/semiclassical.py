@@ -189,7 +189,7 @@ def extract_semiclassical(
     distance from any sampled point to the selected ones; when a density
     target is given the result records whether the target was met.
     """
-    if margin <= 0:
+    if not margin > 0:
         raise ValidationError("margin must be positive")
     basis = tuple(basis)
     if not basis:
@@ -289,7 +289,7 @@ def auto_basis(sample: MetricSample, n_opens: int, delta: float):
     selected inside the open keeps the overall covering radius within the
     target.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValidationError("density target must be positive")
     slots = _slots(sample)
     count = slots.shape[1]
@@ -310,7 +310,7 @@ def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
         raise ValidationError("cannot extend an empty basis")
     if n_more < 1:
         raise ValidationError("need at least one additional open")
-    if delta <= 0:
+    if not delta > 0:
         raise ValidationError("density target must be positive")
     slots = _slots(sample)
     _check_basis(basis, slots.shape[2])

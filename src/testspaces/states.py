@@ -451,7 +451,7 @@ def hidden_variable_state(result, seed: int = 0) -> State:
     """
     if not result.tests:
         raise ValidationError("extraction selected no tests")
-    selection = TestSpace.build(set().union(*result.tests), result.tests)
+    selection = result.sub_test_space
     rng = random.Random(seed)
     values: dict[str, Fraction] = {}
     for row in selection._rows:

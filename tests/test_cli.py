@@ -444,6 +444,23 @@ def test_extract_rejects_bad_basis_file(capsys, tmp_path, basis, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-3"])
+def test_meaningless_ortho_tol_is_an_input_error(capsys, tmp_path, tol):
+    path = frames_file(capsys, tmp_path, n=4, seed=6)
+    for argv in (["metric", "check", path], ["extract", path, "--basis", "auto:2"]):
+        code, out, err = run(capsys, *argv, f"--ortho-tol={tol}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: orthogonality tolerance must be finite and >= 0")
+        assert "Traceback" not in err
+
+
+def test_extract_nan_margin_is_refused_as_such(capsys, tmp_path):
+    path = frames_file(capsys, tmp_path, n=4, seed=6)
+    code, out, err = run(capsys, "extract", path, "--basis", "auto:2", "--margin", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: margin must be positive\n"
+
+
 def test_metric_check_and_load_sample_reject_extra_coordinates(capsys, tmp_path):
     path = frames_file(capsys, tmp_path)
     coords = tmp_path / "frames.coords"

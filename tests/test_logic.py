@@ -4,8 +4,9 @@ import random
 import tracemalloc
 from functools import cached_property
 from unittest import mock
-from itertools import permutations
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -436,6 +437,203 @@ def test_dense_table_cap_is_checked_before_allocating():
     els = [f"e{i}" for i in range(DENSE_TABLE_CAP + 1)]
     with pytest.raises(CapExceededError):
         OrthoalgebraTable(els, els[0], els[1], [])
+
+
+# ------------------------------------- the four axioms, each checked once
+
+
+def frozen_verify_table(table, zero, one, what, names=None):
+    """_verify_table with its mirrored association sweep and its checks of
+    the involution and the order; kept as the reference."""
+    n = len(table)
+    label = (lambda i: names[i]) if names is not None else str
+    every = np.arange(n)
+
+    def fail(msg):
+        raise AxiomViolationError(f"{what}: {msg}")
+
+    defined = table >= 0
+    bad = np.argwhere(defined & (table != table.T))
+    if len(bad):
+        p, q = bad[0]
+        fail(f"sum not commutative at ({label(p)}, {label(q)})")
+    self_sum = defined[every, every] & (every != zero)
+    bad = np.flatnonzero(self_sum | (table[:, zero] != every))
+    if len(bad):
+        p = bad[0]
+        if self_sum[p]:
+            fail(f"element {label(p)} summable with itself")
+        fail(f"{label(p)} + 0 != {label(p)}")
+    triple = logic_module._association_failure(table)
+    mirrored = None if triple else logic_module._association_failure(table.T)
+    if mirrored:
+        triple = mirrored[::-1]
+    if triple:
+        fail("association mismatch at ({}, {}, {})".format(*map(label, triple)))
+    is_one = table == one
+    count = is_one.sum(axis=1)
+    bad = np.flatnonzero(count != 1)
+    if len(bad):
+        p = bad[0]
+        fail(f"element {label(p)} has {count[p]} complements, want exactly 1")
+    ocomp = is_one.argmax(axis=1)
+    bad = np.flatnonzero(ocomp[ocomp] != every)
+    if len(bad):
+        fail(f"orthocomplement not involutive at {label(bad[0])}")
+
+    leq = np.zeros((n, n), dtype=bool)
+    rows, cols = np.nonzero(defined)
+    leq[rows, table[rows, cols]] = True
+    bad = np.flatnonzero(~leq[every, every])
+    if len(bad):
+        fail(f"order not reflexive at {label(bad[0])}")
+    bad = np.flatnonzero(~leq[zero] | ~leq[:, one])
+    if len(bad):
+        fail(f"bounds fail at {label(bad[0])}")
+    bad = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+    if len(bad):
+        p, q = bad[0]
+        fail(f"order not antisymmetric at ({label(p)}, {label(q)})")
+    ps, qs = np.nonzero(leq)
+    bits = np.packbits(leq, axis=1)
+    for sl in logic_module._blocks(len(ps), bits.shape[1]):
+        bad = (bits[qs[sl]] & ~bits[ps[sl]]).any(axis=1)
+        if bad.any():
+            k = sl.start + int(bad.argmax())
+            p, q = ps[k], qs[k]
+            r = np.flatnonzero(leq[q] & ~leq[p])[0]
+            fail(f"order not transitive at ({label(p)}, {label(q)}, {label(r)})")
+    for sl in logic_module._blocks(n, n):
+        bad = np.argwhere((table[sl][:, ocomp] >= 0) != leq[sl])
+        if len(bad):
+            p, q = bad[0]
+            fail(
+                "order disagrees with the complement criterion at "
+                f"({label(sl.start + p)}, {label(q)})"
+            )
+    return ocomp, leq
+
+
+def frozen_build_logic(ts):
+    """build_logic with the frozen verifier and its complement cross-check;
+    kept as the reference."""
+    with mock.patch.object(logic_module, "_verify_table", frozen_verify_table):
+        logic = build_logic(ts)
+    by_test, fibre, _witness = ts._event_structure
+    cls = np.array(fibre)
+    test_classes = [cls[row] for row in by_test]
+    own = np.concatenate(test_classes)
+    other = np.concatenate([row[::-1] for row in test_classes])
+    bad = other != logic._ocomp[own]
+    if bad.any():
+        i = own[bad].min()
+        raise AxiomViolationError(
+            f"complements of class {i} scatter over {sorted(set(other[own == i].tolist()))}"
+        )
+    return logic
+
+
+def verdict(verify, *args):
+    """The error text, or the (ocomp, leq) pair as lists."""
+    try:
+        ocomp, leq = verify(*args)
+    except AxiomViolationError as exc:
+        return str(exc)
+    return ocomp.tolist(), leq.tolist()
+
+
+def assert_verifies_as_frozen(*args):
+    want = verdict(frozen_verify_table, *args)
+    assert verdict(logic_module._verify_table, *args) == want
+    return want
+
+
+def test_axiom_check_equals_frozen_on_every_four_element_table():
+    """Zero 0, no self-sums, each of the three pairs of nonzero elements
+    undefined or summing to any element, and every nonzero one."""
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    accepted = checked = 0
+    for targets in product(range(-1, 4), repeat=len(pairs)):
+        table = np.full((4, 4), -1, dtype=np.int32)
+        table[:, 0] = table[0, :] = np.arange(4)
+        for (p, q), r in zip(pairs, targets):
+            table[p, q] = table[q, p] = r
+        for one in (1, 2, 3):
+            got = assert_verifies_as_frozen(table, 0, one, "t")
+            accepted += not isinstance(got, str)
+            checked += 1
+    assert checked == 375
+    assert accepted  # both branches are compared
+
+
+def random_table(rng):
+    """MO2 (six elements) under a random relabelling, after up to three
+    random edits, mostly symmetric, and at times with another `one`."""
+    mo2 = mo2_oa()._sums
+    perm = np.array(rng.sample(range(6), 6))
+    table = np.full((6, 6), -1, dtype=np.int32)
+    table[np.ix_(perm, perm)] = np.where(mo2._table >= 0, perm[mo2._table], -1)
+    for _ in range(rng.randrange(4)):
+        p, q, r = rng.randrange(6), rng.randrange(6), rng.randrange(-1, 6)
+        table[p, q] = r
+        if rng.random() < 0.9:
+            table[q, p] = r
+    one = perm[mo2.one] if rng.random() < 0.8 else rng.randrange(6)
+    return table, int(perm[mo2.zero]), int(one)
+
+
+def test_axiom_check_equals_frozen_on_random_six_element_tables():
+    kinds = ("not commutative", "with itself", "+ 0 !=", "association", "complements")
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(3000):
+        got = assert_verifies_as_frozen(*random_table(rng), "t")
+        seen.add(next(k for k in kinds if k in got) if isinstance(got, str) else None)
+    assert seen == {*kinds, None}  # every check fails somewhere, and some tables pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=st.sampled_from(["boolean-3", "mo2"]), edits=TABLE_EDITS)
+def test_axiom_check_equals_frozen_on_edited_tables(base, edits):
+    oa = boolean_oa(3) if base == "boolean-3" else mo2_oa()
+    calls = []
+    real = logic_module._verify_table
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(logic_module, "_verify_table", recording):
+        try:
+            OrthoalgebraTable(oa.elements, oa.zero, oa.one, edited_sums(oa, edits))
+        except AxiomViolationError:
+            pass
+    for args in calls:
+        assert_verifies_as_frozen(*args)
+
+
+def assert_logic_as_frozen(ts):
+    want = frozen_build_logic(ts)
+    got = build_logic(ts)
+    assert np.array_equal(got._ocomp, want._ocomp)
+    assert np.array_equal(got._leq, want._leq)
+    assert got.table_digest() == want.table_digest()
+
+
+def test_logic_equals_frozen_on_corpus(spaces):
+    for name in LOGIC_SIZES:
+        assert_logic_as_frozen(spaces[name])
+    for name in ("classical-1", "classical-6"):
+        assert_logic_as_frozen(load_test_space(corpus.gen(name)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=20_000))
+def test_logic_equals_frozen_on_random_algebraic_spaces(seed):
+    rng = random.Random(seed)
+    for ts in (random_space(seed), corpus.random_semiclassical(rng)):
+        if is_algebraic(ts)[0]:
+            assert_logic_as_frozen(ts)
 
 
 # ------------------------------------------------ one sum-table type

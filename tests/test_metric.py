@@ -118,6 +118,9 @@ def test_matching_examples():
         matching_distance([E1], [E1, E2])
     with pytest.raises(ValidationError, match="dimensions differ"):
         matching_distance(np.eye(3), np.eye(3)[:, :2])
+    for a, b in (([], []), (np.empty((0, 3)), np.empty((0, 3))), ([], [E1])):
+        with pytest.raises(ValidationError, match="needs nonempty point sets"):
+            matching_distance(a, b)
 
 
 def frozen_threshold_bottleneck(dist: np.ndarray) -> float:
@@ -386,6 +389,17 @@ def test_invariant_battery_flags_corruption():
     assert not rows["in-test-orthogonality"]
 
 
+def test_meaningless_ortho_tol_is_refused():
+    s = sample_frames(3, 2, seed=1)
+    for tol in (math.inf, -math.inf, math.nan, -1e-3):
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            check_sample_invariants(s.ids, s.coords, s.tests, tol)
+        with pytest.raises(ValidationError, match="must be finite and >= 0"):
+            MetricSample(s.ids, s.coords, s.tests, tol)
+    rows = check_sample_invariants(s.ids, s.coords, s.tests, 0.0)
+    assert rows[-1][0] == "in-test-orthogonality"
+
+
 def frozen_in_test_orthogonality(ids, coords, tests, ortho_tol):
     """The in-test orthogonality row of `check_sample_invariants` before it
     batched the tests by size: one Gram product per test; kept as reference."""
@@ -562,6 +576,9 @@ def test_rank_bound_rejects_wide_caps():
     assert (exc.value.center, exc.value.pair) == ("a", ("a", "b"))
     with pytest.raises(ValidationError):
         rank_bound(frame_sample(), 0.0)
+    # a NaN radius covers no point, so past the guard the caps would grow forever
+    with pytest.raises(ValidationError, match="cap radius must be positive"):
+        rank_bound(frame_sample(), math.nan)
 
 
 @pytest.mark.parametrize("d, count, seed", [(3, 300, 1), (4, 200, 2), (5, 150, 3)])

@@ -161,6 +161,8 @@ def test_extraction_input_validation():
         extract_semiclassical(s, [])
     with pytest.raises(ValidationError):
         extract_semiclassical(s, [basic_open([E1], 2.1)], margin=0.0)
+    with pytest.raises(ValidationError, match="margin must be positive"):
+        extract_semiclassical(s, [basic_open([E1], 2.1)], margin=math.nan)
     with pytest.raises(ValidationError):
         extract_semiclassical(s, [object()])
     with pytest.raises(ValidationError, match="widen the basis"):
@@ -224,6 +226,8 @@ def test_extraction_and_save_build_one_sub_space(tmp_path, monkeypatch):
     monkeypatch.setattr(TestSpace, "__post_init__", counting)
     result = extract_semiclassical(frames, basis)
     save_sample(result.sub_sample, tmp_path / "sub.tsp")
+    state = hidden_variable_state(result, seed=0)
+    assert verify_state(result.sub_test_space, state) == (True, 0)
     assert built == [result.sub_sample.ids]  # sorted: f….10 before f….2
 
 
@@ -248,6 +252,10 @@ def test_auto_basis_validation():
         auto_basis(frames, 11, delta=0.5)
     with pytest.raises(ValidationError):
         auto_basis(frames, 3, delta=0.0)
+    with pytest.raises(ValidationError, match="density target must be positive"):
+        auto_basis(frames, 3, delta=math.nan)
+    with pytest.raises(ValidationError, match="density target must be positive"):
+        extend_basis(frames, auto_basis(frames, 3, delta=0.5), 2, delta=math.nan)
 
 
 def test_extend_basis_keeps_prefix_and_improves_coverage():

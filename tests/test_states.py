@@ -276,7 +276,8 @@ def test_perp_separating_equals_the_frozen_pair_scan(seed):
 
 
 def test_hidden_variable_state_is_deterministic():
-    result = SimpleNamespace(tests=(frozenset({"a", "b"}), frozenset({"c", "d", "e"})))
+    tests = (frozenset({"a", "b"}), frozenset({"c", "d", "e"}))
+    result = SimpleNamespace(tests=tests, sub_test_space=TestSpace.build("abcde", tests))
     s1 = hidden_variable_state(result, seed=3)
     s2 = hidden_variable_state(result, seed=3)
     assert s1.values == s2.values
