@@ -51,20 +51,35 @@ class NotTotallyNonOrthogonalError(TspError):
         self.pair = pair
 
 
+def _check_ortho_tol(ortho_tol: float) -> None:
+    """An angular tolerance means something only in [0, pi/2], where sin
+    increases; anything else raises ValidationError."""
+    if not 0 <= ortho_tol <= math.pi / 2:
+        raise ValidationError(
+            f"orthogonality tolerance must be finite and >= 0 and at most pi/2, got {ortho_tol}"
+        )
+
+
 def check_sample_invariants(ids, coords, tests, ortho_tol):
     """Invariant battery for sampled spaces; list of (name, ok, detail) rows.
 
-    A tolerance that is not finite and nonnegative has no meaning as an
-    angle, so it raises ValidationError instead of giving a row.
+    A tolerance outside [0, pi/2] has no meaning as an angle, so it raises
+    ValidationError instead of giving a row.
     """
-    if not 0 <= ortho_tol < math.inf:
-        raise ValidationError(f"orthogonality tolerance must be finite and >= 0, got {ortho_tol}")
+    return _battery(ids, coords, tests, ortho_tol)[0]
+
+
+def _battery(ids, coords, tests, ortho_tol):
+    """(rows, index, test_rows): the rows of `check_sample_invariants`, the
+    id -> row index and each test's index rows that it built, each None
+    where the battery stopped before building it."""
+    _check_ortho_tol(ortho_tol)
     rows = []
     n, d = coords.shape if coords.ndim == 2 else (0, 0)
     rows.append(("shape", coords.ndim == 2 and n == len(ids) and d >= 2,
                  f"{len(ids)} ids, coords {coords.shape}"))
     if not rows[-1][1]:
-        return rows
+        return rows, None, None
     rows.append(("distinct-ids", len(set(ids)) == len(ids), f"{len(ids)} ids"))
     norms = np.linalg.norm(coords, axis=1)
     dev = float(np.abs(norms - 1.0).max()) if n else 0.0
@@ -73,7 +88,7 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
     known = all(x in index for t in tests for x in t)
     rows.append(("test-ids-known", known, ""))
     if not known:
-        return rows
+        return rows, index, None
     rows.append(("tests-nonempty", bool(tests) and all(tests), f"{len(tests)} tests"))
     rows.append(("test-size", all(len(t) <= d for t in tests),
                  f"max {max((len(t) for t in tests), default=0)} <= dim {d}"))
@@ -91,7 +106,7 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
         worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
     rows.append(("in-test-orthogonality", worst <= thr,
                  f"max |inner| {worst:.3e} vs {thr:.3e}"))
-    return rows
+    return rows, index, test_rows
 
 
 _BLOCK_ELEMENTS = 1 << 20  # 8 MB of float64 per row block of a blocked scan
@@ -123,7 +138,12 @@ def _orthogonal_pairs(pts: np.ndarray, thr: float):
 
 @dataclass(frozen=True, eq=False)
 class MetricSample:
-    """Outcome ids with unit-vector coordinates and near-orthogonal tests."""
+    """Outcome ids with unit-vector coordinates and near-orthogonal tests.
+
+    `_index` maps an id to its coordinate row and `_rows` holds each test as
+    its members' rows in name order; both are the invariant battery's own,
+    kept from construction.
+    """
 
     ids: tuple[str, ...]
     coords: np.ndarray
@@ -132,20 +152,12 @@ class MetricSample:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", np.ascontiguousarray(self.coords, dtype=float))
-        for name, ok, detail in check_sample_invariants(
-            self.ids, self.coords, self.tests, self.ortho_tol
-        ):
+        rows, index, test_rows = _battery(self.ids, self.coords, self.tests, self.ortho_tol)
+        for name, ok, detail in rows:
             if not ok:
                 raise ValidationError(f"sample invariant {name} fails: {detail}")
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.ids)}
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each test as the rows of its members' points, in name order."""
-        return _index_rows(self._index, self.tests)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", test_rows)
 
     @cached_property
     def _test_space(self) -> TestSpace:
@@ -580,6 +592,9 @@ def closure_check(
     the limit.  Returns True iff the limit is pairwise orthogonal within
     `ortho_tol` and keeps the tail cardinality.
     """
+    if not tol >= 0:
+        raise ValidationError(f"convergence tolerance must be >= 0, got {tol}")
+    _check_ortho_tol(ortho_tol)
     seqs = [np.atleast_2d(np.asarray(f, dtype=float)) for f in frames]
     if not seqs:
         raise ValidationError("empty frame sequence")

@@ -13,6 +13,7 @@ tests form a semi-classical subspace of the sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,20 +95,36 @@ def disjoint_tests(space, members) -> list[frozenset[str]]:
 
 @dataclass(frozen=True, eq=False)
 class ExtractionResult:
-    """Outcome of a greedy semi-classical extraction over a basis of opens."""
+    """Outcome of a greedy semi-classical extraction over a basis of opens.
 
+    The selected tests, their sub-sample and its test space all derive from
+    the sample extracted from and the selection; the sub-sample is built and
+    validated on first read only.
+    """
+
+    sample: MetricSample
     selected: tuple[int, ...]
     open_hits: tuple[int | None, ...]
     coverage_radius: float
     separation: float
     margin: float
     density_target: float | None
-    sub_test_space: TestSpace
-    sub_sample: MetricSample
 
     @property
     def tests(self) -> tuple[frozenset[str], ...]:
-        return self.sub_test_space.tests
+        return tuple(self.sample.tests[k] for k in self.selected)
+
+    @cached_property
+    def sub_sample(self) -> MetricSample:
+        """The selected tests with their points, ids in sorted order."""
+        tests = self.tests
+        ids = tuple(sorted(set().union(*tests)))
+        coords = self.sample.coords[[self.sample._index[x] for x in ids]]
+        return MetricSample(ids, coords, tests, self.sample.ortho_tol)
+
+    @property
+    def sub_test_space(self) -> TestSpace:
+        return self.sub_sample.to_test_space()
 
     @property
     def basis_hits(self) -> dict[int, int]:
@@ -224,19 +241,14 @@ def extract_semiclassical(
         _nearest_update(slots, mind, slots[:, k])
     if not selected:
         raise ValidationError("no open admitted a selection; widen the basis")
-    tests = tuple(sample.tests[k] for k in selected)
-    ids = tuple(sorted(set().union(*tests)))
-    sub_coords = sample.coords[[sample._index[x] for x in ids]]
-    sub_sample = MetricSample(ids, sub_coords, tests, sample.ortho_tol)
     return ExtractionResult(
+        sample=sample,
         selected=tuple(selected),
         open_hits=tuple(open_hits),
         coverage_radius=float(mind.max()),
         separation=float(separation),
         margin=margin,
         density_target=density_target,
-        sub_test_space=sub_sample.to_test_space(),
-        sub_sample=sub_sample,
     )
 
 
@@ -278,6 +290,11 @@ def _sweep_opens(slots, seeds, n_new: int, delta: float):
     return tuple(basic_open(slots[:, a], radius) for a in anchors)
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:
+        raise ValidationError(f"density target must be positive and finite, got {delta}")
+
+
 def auto_basis(sample: MetricSample, n_opens: int, delta: float):
     """Basic opens whose anchors aim to cover the sampled points at `delta`.
 
@@ -289,8 +306,7 @@ def auto_basis(sample: MetricSample, n_opens: int, delta: float):
     selected inside the open keeps the overall covering radius within the
     target.
     """
-    if not delta > 0:
-        raise ValidationError("density target must be positive")
+    _check_delta(delta)
     slots = _slots(sample)
     count = slots.shape[1]
     if not 1 <= n_opens <= count:
@@ -308,10 +324,10 @@ def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
     basis = tuple(basis)
     if not basis:
         raise ValidationError("cannot extend an empty basis")
-    if n_more < 1:
-        raise ValidationError("need at least one additional open")
-    if not delta > 0:
-        raise ValidationError("density target must be positive")
+    count = len(sample.tests)
+    if not 1 <= n_more <= count:
+        raise ValidationError(f"need between 1 and {count} additional opens, got {n_more}")
+    _check_delta(delta)
     slots = _slots(sample)
     _check_basis(basis, slots.shape[2])
     return basis + _sweep_opens(slots, [o.centers for o in basis], n_more, delta)

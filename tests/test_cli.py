@@ -444,7 +444,7 @@ def test_extract_rejects_bad_basis_file(capsys, tmp_path, basis, message):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-3"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1e-3", "10"])
 def test_meaningless_ortho_tol_is_an_input_error(capsys, tmp_path, tol):
     path = frames_file(capsys, tmp_path, n=4, seed=6)
     for argv in (["metric", "check", path], ["extract", path, "--basis", "auto:2"]):
@@ -452,6 +452,18 @@ def test_meaningless_ortho_tol_is_an_input_error(capsys, tmp_path, tol):
         assert (code, out) == (2, "")
         assert err.startswith("error: orthogonality tolerance must be finite and >= 0")
         assert "Traceback" not in err
+
+
+def test_resample_with_a_basis_larger_than_the_sample_is_an_input_error(capsys, tmp_path):
+    big = str(tmp_path / "thirty.tsp")
+    assert run(capsys, "sample-frames", "-n", "30", "--seed", "1", "-o", big)[0] == 0
+    basis = str(tmp_path / "thirty.basis")
+    assert run(capsys, "extract", big, "--basis", "auto:30", "--save-basis", basis)[0] == 0
+    small = str(tmp_path / "ten.tsp")
+    assert run(capsys, "sample-frames", "-n", "10", "--seed", "1", "-o", small)[0] == 0
+    code, out, err = run(capsys, "extract", small, "--basis", f"file:{basis}", "--resample-factor", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: need between 1 and 20 additional opens, got 30\n"
 
 
 def test_extract_nan_margin_is_refused_as_such(capsys, tmp_path):

@@ -391,7 +391,7 @@ def test_invariant_battery_flags_corruption():
 
 def test_meaningless_ortho_tol_is_refused():
     s = sample_frames(3, 2, seed=1)
-    for tol in (math.inf, -math.inf, math.nan, -1e-3):
+    for tol in (math.inf, -math.inf, math.nan, -1e-3, 10.0, math.pi / 2 + 1e-9):
         with pytest.raises(ValidationError, match="must be finite and >= 0"):
             check_sample_invariants(s.ids, s.coords, s.tests, tol)
         with pytest.raises(ValidationError, match="must be finite and >= 0"):
@@ -843,6 +843,19 @@ def test_closure_check_rejects_divergence():
         closure_check(frames, np.eye(3), tol=1e-9)
     with pytest.raises(ValidationError):
         closure_check([], np.eye(3))
+
+
+def test_closure_check_refuses_meaningless_tolerances():
+    tilt = np.vstack([E1, (E1 + E2) / ROOT2, E3])
+    for ortho_tol in (math.nan, 10.0, -1e-3, math.inf):
+        with pytest.raises(ValidationError, match="orthogonality tolerance must be finite and >= 0"):
+            closure_check([tilt] * 3, tilt, ortho_tol=ortho_tol)
+    with pytest.raises(ValidationError, match="convergence tolerance must be >= 0"):
+        closure_check([np.eye(3)] * 3, np.eye(3), tol=math.nan)
+    with pytest.raises(ValidationError, match="convergence tolerance must be >= 0"):
+        closure_check([np.eye(3)] * 3, np.eye(3), tol=-1.0)
+    assert closure_check([np.eye(3)] * 3, np.eye(3), ortho_tol=math.pi / 2)
+    assert closure_check([tilt] * 3, tilt, ortho_tol=math.pi / 4 + 1e-9)
 
 
 # ---------------------------------------------------------- lipschitz sums

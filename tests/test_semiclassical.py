@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from testspaces import corpus
-from testspaces.core import TestSpace, ValidationError
+from testspaces.core import TestSpace, ValidationError, _index_rows
 from testspaces.logic import build_logic
 from testspaces.metric import (
     MetricSample,
@@ -231,6 +231,31 @@ def test_extraction_and_save_build_one_sub_space(tmp_path, monkeypatch):
     assert built == [result.sub_sample.ids]  # sorted: f….10 before f….2
 
 
+def test_one_index_per_sample_and_sub_sample_on_read(monkeypatch):
+    calls = []
+
+    def counting(index, tests):
+        calls.append(len(tests))
+        return _index_rows(index, tests)
+
+    monkeypatch.setattr("testspaces.metric._index_rows", counting)
+    monkeypatch.setattr("testspaces.core._index_rows", counting)  # TestSpace._rows
+    small = sample_frames(3, 20, seed=4)
+    basis = auto_basis(small, 5, delta=0.9)
+    first = extract_semiclassical(small, basis, density_target=0.9)
+    large = sample_frames(3, 40, seed=4)
+    grown = extend_basis(large, basis, 5, delta=0.9)
+    again = extract_semiclassical(large, grown, density_target=0.9)
+    assert calls == [20, 40]  # the battery of each sample, and nothing more
+    assert "sub_sample" not in again.__dict__
+    sub = again.sub_sample
+    assert again.__dict__["sub_sample"] is sub
+    assert calls == [20, 40, len(again.selected)]
+    assert again.sub_test_space is sub.to_test_space()
+    assert again.tests == sub.tests == tuple(large.tests[k] for k in again.selected)
+    assert first.sample is small and again.sample is large
+
+
 # ------------------------------------------------------------ auto basis
 
 
@@ -256,6 +281,10 @@ def test_auto_basis_validation():
         auto_basis(frames, 3, delta=math.nan)
     with pytest.raises(ValidationError, match="density target must be positive"):
         extend_basis(frames, auto_basis(frames, 3, delta=0.5), 2, delta=math.nan)
+    with pytest.raises(ValidationError, match="density target must be positive"):
+        auto_basis(frames, 3, delta=math.inf)
+    with pytest.raises(ValidationError, match="density target must be positive"):
+        extend_basis(frames, auto_basis(frames, 3, delta=0.5), 2, delta=math.inf)
 
 
 def test_extend_basis_keeps_prefix_and_improves_coverage():
@@ -272,6 +301,9 @@ def test_extend_basis_keeps_prefix_and_improves_coverage():
         extend_basis(large, (), 3, delta=0.9)
     with pytest.raises(ValidationError):
         extend_basis(large, basis, 0, delta=0.9)
+    with pytest.raises(ValidationError, match="need between 1 and 120 additional opens, got 121"):
+        extend_basis(large, basis, 121, delta=0.9)
+    assert len(extend_basis(large, basis, 120, delta=0.9)) == 130  # every test an anchor
 
 
 # ----------------------------------------- frozen reference of the sweeps
