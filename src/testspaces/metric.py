@@ -180,7 +180,8 @@ class MetricSample:
         return self.coords[[self.index_of(x) for x in sorted(members)]]
 
     def distance(self, x: str, y: str) -> float:
-        return float(np.linalg.norm(self.point(x) - self.point(y)))
+        i, j = self.index_of(x), self.index_of(y)
+        return math.sqrt(_squared_distances(self.coords[i : i + 1], self.coords[j : j + 1])[0, 0])
 
     def orthogonal(self, x: str, y: str) -> bool:
         """Geometric orthogonality within the sample's angular tolerance."""
@@ -458,14 +459,15 @@ def tno_radius(sample: MetricSample, outcome: str) -> float:
 
     Computed as the minimum over sampled orthogonal pairs of the farther
     endpoint's distance; infinity when the sample has no orthogonal pair.
+    The minimum and maximum are taken over squared distances, with one
+    square root at the end.
     """
     i = sample.index_of(outcome)
     pairs = sample.orthogonal_pair_indices
     if len(pairs) == 0:
         return math.inf
-    dx = np.linalg.norm(sample.coords - sample.coords[i], axis=1)
-    far = np.maximum(dx[pairs[:, 0]], dx[pairs[:, 1]])
-    return float(far.min())
+    sq = _squared_distances(sample.coords, sample.coords[i : i + 1])[0]
+    return math.sqrt(np.maximum(sq[pairs[:, 0]], sq[pairs[:, 1]]).min())
 
 
 _CAP_CHORD_SLACK = 1e-6
@@ -487,7 +489,9 @@ def rank_bound(sample: MetricSample, cap_radius: float) -> int:
     caps: list[tuple[int, np.ndarray]] = []  # (center, member indices)
     while not covered.all():
         c = int(np.argmax(~covered))
-        inside = np.linalg.norm(pts - pts[c], axis=1) < cap_radius
+        # the root before comparing keeps the rounding of the distances;
+        # comparing squares with cap_radius**2 would round differently
+        inside = np.sqrt(_squared_distances(pts, pts[c : c + 1])[0]) < cap_radius
         caps.append((c, np.flatnonzero(inside)))
         covered |= inside
     thr = math.sin(sample.ortho_tol)
@@ -504,13 +508,6 @@ def rank_bound(sample: MetricSample, cap_radius: float) -> int:
     return len(caps)
 
 
-def _separation(dist: np.ndarray) -> float:
-    """The least off-diagonal entry of a square distance block."""
-    if len(dist) < 2:
-        return math.inf
-    return float(dist[~np.eye(len(dist), dtype=bool)].min())
-
-
 def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     """Nearby events of well-separated points must pair up one to one.
 
@@ -518,8 +515,9 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     separation, the check requires equal cardinalities and exact agreement
     of matching and Hausdorff distances; otherwise it holds vacuously.
     Both arguments must be nonempty events of the sample.  Both separations
-    and the cross distances are read from one distance matrix over the
-    points of a followed by those of b.
+    and the cross distances are read from one matrix of squared distances
+    over the points of a followed by those of b, whose diagonal is set to
+    infinity; each answer takes its square root once.
     """
     ma, mb = frozenset(a), frozenset(b)
     for m in (ma, mb):
@@ -528,16 +526,17 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     if not (ma and mb):
         raise ValidationError("the local-constancy check needs nonempty events")
     k = len(ma)
-    pts = np.concatenate([sample.points_of(ma), sample.points_of(mb)])
-    full = pairwise_distances(pts, pts)
-    dist = full[:k, k:]
-    d_h = _hausdorff(dist)
-    guard = 0.5 * min(_separation(full[:k, :k]), _separation(full[k:, k:]))
+    pts = sample.coords[[sample._index[x] for m in (ma, mb) for x in m]]
+    full = _squared_distances(pts, pts)
+    np.fill_diagonal(full, np.inf)  # a one-point event is infinitely separated
+    cross = full[:k, k:]
+    d_h = math.sqrt(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
+    guard = 0.5 * math.sqrt(min(full[:k, :k].min(), full[k:, k:].min()))
     if not d_h < guard:
         return True
     if len(ma) != len(mb):
         return False
-    return _bottleneck(dist) == d_h
+    return _bottleneck(np.sqrt(cross)) == d_h
 
 
 MAX_FRAME_COUNT = 10**6  # keeps generated ids at a fixed width
@@ -650,8 +649,8 @@ def save_sample(sample: MetricSample, tsp_path, coords_path=None, header: str | 
     with open(tsp_path, "w") as fh:
         fh.write(dump_test_space(sample.to_test_space(), header))
     with open(coords_path, "w") as fh:
-        for x in sample.ids:
-            coords = " ".join(repr(float(c)) for c in sample.point(x))
+        for x, row in zip(sample.ids, sample.coords.tolist()):
+            coords = " ".join(map(repr, row))
             fh.write(f"outcome {x} {coords}\n")
     return tsp_path, coords_path
 

@@ -204,10 +204,13 @@ def extract_semiclassical(
     when the sampled tests themselves overlap (a shared point sits at
     distance zero, below any margin).  The coverage radius is the largest
     distance from any sampled point to the selected ones; when a density
-    target is given the result records whether the target was met.
+    target is given the result records whether the target was met; a
+    target that is not positive and finite raises ValidationError.
     """
     if not margin > 0:
         raise ValidationError("margin must be positive")
+    if density_target is not None:
+        _check_delta(density_target)
     basis = tuple(basis)
     if not basis:
         raise ValidationError("basis must contain at least one open")

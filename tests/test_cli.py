@@ -454,6 +454,22 @@ def test_meaningless_ortho_tol_is_an_input_error(capsys, tmp_path, tol):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1"])
+def test_meaningless_density_target_is_an_input_error(capsys, tmp_path, delta):
+    path = frames_file(capsys, tmp_path, n=4, seed=6)
+    basis = str(tmp_path / "b.basis")
+    assert run(capsys, "extract", path, "--basis", "auto:4", "--save-basis", basis)[0] == 0
+    for argv in (
+        ["extract", path, "--basis", f"file:{basis}"],
+        ["--strict", "extract", path, "--basis", f"file:{basis}"],
+        ["extract", path, "--basis", "auto:2"],
+    ):
+        code, out, err = run(capsys, *argv, f"--delta={delta}")
+        assert (code, out) == (2, "")
+        assert err == f"error: density target must be positive and finite, got {float(delta)}\n"
+        assert "Traceback" not in err
+
+
 def test_resample_with_a_basis_larger_than_the_sample_is_an_input_error(capsys, tmp_path):
     big = str(tmp_path / "thirty.tsp")
     assert run(capsys, "sample-frames", "-n", "30", "--seed", "1", "-o", big)[0] == 0

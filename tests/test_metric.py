@@ -627,6 +627,102 @@ def test_rank_bound_under_45_degree_caps():
     assert all(len(t) <= 3 for t in s.tests)
 
 
+# The checks before they read squared distances measured each chord with
+# np.linalg.norm of coordinate differences; frozen here as the reference.
+
+
+def frozen_tno_radius(sample: MetricSample, outcome: str) -> float:
+    i = sample.index_of(outcome)
+    pairs = sample.orthogonal_pair_indices
+    if len(pairs) == 0:
+        return math.inf
+    dx = np.linalg.norm(sample.coords - sample.coords[i], axis=1)
+    far = np.maximum(dx[pairs[:, 0]], dx[pairs[:, 1]])
+    return float(far.min())
+
+
+def frozen_rank_bound(sample: MetricSample, cap_radius: float) -> int:
+    pts = sample.coords
+    covered = np.zeros(len(pts), dtype=bool)
+    caps = []
+    while not covered.all():
+        c = int(np.argmax(~covered))
+        inside = np.linalg.norm(pts - pts[c], axis=1) < cap_radius
+        caps.append((c, np.flatnonzero(inside)))
+        covered |= inside
+    thr = math.sin(sample.ortho_tol)
+    chord = math.sqrt(max(0.0, 2.0 - 2.0 * thr))
+    if 2.0 * cap_radius < chord - metric_module._CAP_CHORD_SLACK:
+        return len(caps)
+    for c, idx in caps:
+        for pairs in metric_module._orthogonal_pairs(pts[idx], thr):
+            i, j = idx[pairs[0]]
+            raise NotTotallyNonOrthogonalError(sample.ids[c], (sample.ids[i], sample.ids[j]))
+    return len(caps)
+
+
+def rank_answer(f, sample: MetricSample, cap_radius: float):
+    """The cap count, or the (center, pair) of the first cap with a pair."""
+    try:
+        return f(sample, cap_radius)
+    except NotTotallyNonOrthogonalError as exc:
+        return (exc.center, exc.pair)
+
+
+CAP_30 = 2.0 * math.sin(math.radians(15.0))  # chordal radius of a 30 degree cap
+CAP_60 = 2.0 * math.sin(math.radians(30.0))
+
+
+def scattered_sample(d: int, n: int, seed: int) -> MetricSample:
+    """Random unit vectors, each its own test: no orthogonal pair."""
+    ids = tuple(f"x{k:03d}" for k in range(n))
+    return MetricSample(ids, seeded_points(seed, n, d), tuple(frozenset([x]) for x in ids))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3, 11]),
+    st.integers(min_value=1, max_value=60),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(3, 60, False, 7)
+@example(11, 20, True, 3)
+def test_tno_radius_and_rank_bound_equal_the_frozen_norm(d, count, scattered, seed):
+    """On frames, and on scattered points without any orthogonal pair, the
+    radius around every tenth outcome and the answer at 30 and 60 degree
+    caps are the frozen ones, to the bit."""
+    s = scattered_sample(d, count, seed % 1000) if scattered else sample_frames(d, count, seed % 1000)
+    for x in s.ids[::10]:
+        got, want = tno_radius(s, x), frozen_tno_radius(s, x)
+        assert got == want and type(got) is type(want)
+        assert (got == math.inf) == scattered
+    for cap in (CAP_30, CAP_60):
+        assert rank_answer(rank_bound, s, cap) == rank_answer(frozen_rank_bound, s, cap)
+
+
+def test_rank_bound_caps_at_30_and_60_degrees_answer_like_the_frozen_norm():
+    """A 60 degree cap holds an orthogonal pair, named with its center as
+    before; 30 degree caps are counted as before."""
+    for d, count in ((2, 100), (3, 300), (11, 40)):
+        s = sample_frames(d, count, seed=d)
+        caps = rank_answer(rank_bound, s, CAP_30)
+        assert isinstance(caps, int) and caps == frozen_rank_bound(s, CAP_30)
+        pair = rank_answer(rank_bound, s, CAP_60)
+        assert isinstance(pair, tuple) and pair == rank_answer(frozen_rank_bound, s, CAP_60)
+
+
+def test_distance_reads_the_exact_kernel():
+    """MetricSample.distance is the entry pairwise_distances gives, to the bit."""
+    for d in (3, 11):
+        s = sample_frames(d, 3, seed=d)
+        want = pairwise_distances(s.coords, s.coords)
+        got = np.array([[s.distance(x, y) for y in s.ids] for x in s.ids])
+        assert np.array_equal(got, want)
+    with pytest.raises(UnknownOutcomeError):
+        s.distance(s.ids[0], "zzz")
+
+
 # ------------------------------------------------- cardinality constancy
 
 

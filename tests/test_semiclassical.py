@@ -163,6 +163,9 @@ def test_extraction_input_validation():
         extract_semiclassical(s, [basic_open([E1], 2.1)], margin=0.0)
     with pytest.raises(ValidationError, match="margin must be positive"):
         extract_semiclassical(s, [basic_open([E1], 2.1)], margin=math.nan)
+    for target in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValidationError, match="density target must be positive and finite"):
+            extract_semiclassical(s, [basic_open([E1], 2.1)], density_target=target)
     with pytest.raises(ValidationError):
         extract_semiclassical(s, [object()])
     with pytest.raises(ValidationError, match="widen the basis"):
