@@ -19,8 +19,6 @@ import sys
 from . import corpus
 from .core import (
     DEFAULT_EVENT_CAP,
-    CapExceededError,
-    ParseError,
     TestSpace,
     TspError,
     enumerate_events,
@@ -161,10 +159,7 @@ def _cmd_states(args) -> int:
             rows.append((f"weight {i}", cert[i]))
     udf_failed = False
     if args.dispersion_free:
-        try:
-            dfs = dispersion_free_states(ts, cap=args.df_cap)
-        except CapExceededError as exc:
-            raise TspError(str(exc)) from exc
+        dfs = dispersion_free_states(ts, cap=args.df_cap)
         rows.append(("dispersion_free", len(dfs)))
         for k, df in enumerate(dfs):
             ones = [x for x in ts.outcomes if df[x] == 1]
@@ -399,12 +394,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(
-            f"error: line {exc.line}, column {exc.column}: {exc.message}",
-            file=sys.stderr,
-        )
-        return 2
     except (TspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

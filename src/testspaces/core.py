@@ -79,8 +79,8 @@ def _column(line: str, k: int) -> int:
 
 
 def _index_rows(index: dict[str, int], tests) -> tuple[tuple[int, ...], ...]:
-    """Each test as the indices of its members in name order: the one place
-    that orders a test's members (ascending over a space's sorted outcomes)."""
+    """Each test as the indices of its members in name order, for ids in any
+    order; a KeyError names an unknown member."""
     return tuple([tuple([index[x] for x in sorted(t)]) for t in tests])
 
 
@@ -108,6 +108,7 @@ class TestSpace:
 
     `_index` maps an outcome to its position; `_rows` holds each test as its
     members' ascending positions, the one member order every layer reads.
+    Both are built by the one pass that checks the tests.
     """
 
     outcomes: tuple[str, ...]
@@ -116,51 +117,47 @@ class TestSpace:
     def __post_init__(self):
         if not self.outcomes:
             raise ValidationError("a test space needs at least one outcome")
-        if len(set(self.outcomes)) != len(self.outcomes):
+        index = {x: k for k, x in enumerate(self.outcomes)}
+        if len(index) != len(self.outcomes):
             raise ValidationError("duplicate outcome ids")
         if list(self.outcomes) != sorted(self.outcomes):
             raise ValidationError("outcomes must be lexicographically sorted")
         if not self.tests:
             raise ValidationError("a test space needs at least one test")
-        known = set(self.outcomes)
-        seen: dict[frozenset[str], int] = {}
+        # outcomes are sorted, so a row's ascending indices are its name order
+        first: dict[tuple[int, ...], int] = {}
         for i, test in enumerate(self.tests):
             if not test:
                 raise ValidationError(f"test {i} is empty")
-            extra = test - known
-            if extra:
-                raise ValidationError(f"test {i} uses unknown outcomes {sorted(extra)}")
-            if test in seen:
-                raise ValidationError(f"test {i} duplicates test {seen[test]}")
-            seen[test] = i
-        covered = set().union(*self.tests)
-        if covered != known:
-            raise ValidationError(
-                f"outcomes not covered by any test: {sorted(known - covered)}"
-            )
+            try:
+                row = tuple(sorted([index[x] for x in test]))
+            except KeyError:
+                raise ValidationError(
+                    f"test {i} uses unknown outcomes {sorted(test - index.keys())}"
+                ) from None
+            if first.setdefault(row, i) != i:
+                raise ValidationError(f"test {i} duplicates test {first[row]}")
+        covered = set().union(*first)
+        if len(covered) != len(index):
+            uncovered = [x for k, x in enumerate(self.outcomes) if k not in covered]
+            raise ValidationError(f"outcomes not covered by any test: {uncovered}")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_rows", tuple(first))
 
     @staticmethod
     def build(outcomes: Iterable[str], tests: Iterable[Iterable[str]]) -> "TestSpace":
         return TestSpace(tuple(sorted(outcomes)), tuple(frozenset(t) for t in tests))
 
     @cached_property
-    def _index(self) -> dict[str, int]:
-        return {x: k for k, x in enumerate(self.outcomes)}
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        return _index_rows(self._index, self.tests)
-
-    @cached_property
     def _containing(self) -> dict[str, tuple[int, ...]]:
         """Outcome id -> ascending indices of the tests that contain it; outcomes
         held by the same tests share one tuple (one per test when disjoint)."""
-        idx: dict[str, list[int]] = {x: [] for x in self.outcomes}
-        for i, test in enumerate(self.tests):
-            for x in test:
-                idx[x].append(i)
+        idx: list[list[int]] = [[] for _ in self.outcomes]
+        for i, row in enumerate(self._rows):
+            for k in row:
+                idx[k].append(i)
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        return {x: shared.setdefault(t, t) for x, t in zip(idx, map(tuple, idx.values()))}
+        return {x: shared.setdefault(t, t) for x, t in zip(self.outcomes, map(tuple, idx))}
 
     @cached_property
     def test_set(self) -> frozenset[frozenset[str]]:

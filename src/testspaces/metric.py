@@ -80,25 +80,24 @@ def _battery(ids, coords, tests, ortho_tol):
                  f"{len(ids)} ids, coords {coords.shape}"))
     if not rows[-1][1]:
         return rows, None, None
-    rows.append(("distinct-ids", len(set(ids)) == len(ids), f"{len(ids)} ids"))
+    index = {x: i for i, x in enumerate(ids)}
+    rows.append(("distinct-ids", len(index) == len(ids), f"{len(ids)} ids"))
     norms = np.linalg.norm(coords, axis=1)
     dev = float(np.abs(norms - 1.0).max()) if n else 0.0
     rows.append(("unit-norm", dev <= UNIT_NORM_TOL, f"max deviation {dev:.3e}"))
-    index = {x: i for i, x in enumerate(ids)}
-    known = all(x in index for t in tests for x in t)
-    rows.append(("test-ids-known", known, ""))
-    if not known:
+    try:
+        test_rows = _index_rows(index, tests)
+    except KeyError:
+        rows.append(("test-ids-known", False, ""))
         return rows, index, None
-    rows.append(("tests-nonempty", bool(tests) and all(tests), f"{len(tests)} tests"))
-    rows.append(("test-size", all(len(t) <= d for t in tests),
-                 f"max {max((len(t) for t in tests), default=0)} <= dim {d}"))
-    dup = len(set(tests)) != len(tests)
-    rows.append(("tests-distinct", not dup, ""))
-    covered = set().union(*tests) if tests else set()
-    rows.append(("covering", covered == set(ids),
-                 f"{len(set(ids) - covered)} uncovered"))
+    rows.append(("test-ids-known", True, ""))
+    size = max(map(len, test_rows), default=0)
+    rows.append(("tests-nonempty", bool(test_rows) and all(test_rows), f"{len(tests)} tests"))
+    rows.append(("test-size", size <= d, f"max {size} <= dim {d}"))
+    rows.append(("tests-distinct", len(set(test_rows)) == len(test_rows), ""))
+    uncovered = len(index) - len(set().union(*test_rows))
+    rows.append(("covering", not uncovered, f"{uncovered} uncovered"))
     thr = math.sin(ortho_tol)
-    test_rows = _index_rows(index, tests)
     worst = 0.0
     for k in {len(r) for r in test_rows if len(r) > 1}:  # one batch per test size
         pts = coords[np.array([r for r in test_rows if len(r) == k])]
@@ -333,18 +332,48 @@ def _nearest_distances(a, b) -> np.ndarray:
     return np.sqrt(_squared_distances(a, b).min(axis=0))
 
 
+def _point_sets(a, b, empty: str | None = None, unequal: str | None = None):
+    """a and b as 2-D float arrays of finite points of one dimension, else
+    ValidationError; before the dimension check, `empty` refuses a set with
+    no points and `unequal` sets of two sizes (formatted with them)."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValidationError(f"point sets must be 2-D, got {a.ndim}-D and {b.ndim}-D")
+    if empty and (a.size == 0 or b.size == 0):
+        raise ValidationError(empty)
+    if unequal and len(a) != len(b):
+        raise ValidationError(unequal.format(len(a), len(b)))
+    if a.shape[1] != b.shape[1]:
+        raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("point coordinates must be finite")
+    return a, b
+
+
 def pairwise_distances(a, b) -> np.ndarray:
     """Chordal distances between the rows of a and b, shape (len(a), len(b)).
 
     Equal bit for bit to np.linalg.norm(a[:, None] - b[None], axis=2) at
     every size, so the distance of a point to itself is exactly 0.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
+    a, b = _point_sets(a, b)
     dist = _squared_distances(b, a)
     return np.sqrt(dist, out=dist)
+
+
+def _open_members(slots: np.ndarray, open_: VietorisBasicOpen) -> np.ndarray:
+    """Which tests lie inside the basic open, as one flag per test; slots[s, t]
+    is point s of test t.  A test is inside when each of its points lies in
+    some ball and each ball holds one of its points; balls are open."""
+    member = np.ones(slots.shape[1], dtype=bool)
+    meets = np.zeros((len(open_.balls), slots.shape[1]), dtype=bool)
+    for cols in slots:
+        dist = np.sqrt(_squared_distances(cols, open_.centers))
+        inside = dist < open_.radii[:, None]
+        member &= inside.any(axis=0)
+        meets |= inside
+    return member & meets.all(axis=0)
 
 
 def vietoris_member(points, open_: VietorisBasicOpen) -> bool:
@@ -355,9 +384,8 @@ def vietoris_member(points, open_: VietorisBasicOpen) -> bool:
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         return False
-    dist = pairwise_distances(pts, open_.centers)
-    inside = dist < open_.radii[None, :]
-    return bool(inside.any(axis=1).all() and inside.any(axis=0).all())
+    pts, _ = _point_sets(pts, open_.centers)
+    return bool(_open_members(pts[:, None, :], open_)[0])
 
 
 def _hausdorff(dist: np.ndarray) -> float:
@@ -367,12 +395,7 @@ def _hausdorff(dist: np.ndarray) -> float:
 def hausdorff_distance(a, b) -> float:
     """_hausdorff(pairwise_distances(a, b)), from the least squared distances
     of each row block of b, without holding the whole matrix."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValidationError("hausdorff distance needs nonempty point sets")
-    if a.shape[1] != b.shape[1]:
-        raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
+    a, b = _point_sets(a, b, empty="hausdorff distance needs nonempty point sets")
     rows = max(1, _BLOCK_ELEMENTS // max(a.size, 1))
     to_b = np.full(len(a), np.inf)  # from each point of a to b
     to_a = np.empty(len(b))  # from each point of b to a
@@ -443,14 +466,8 @@ def _bottleneck(dist: np.ndarray) -> float:
 
 def matching_distance(a, b) -> float:
     """Minimum over bijections of the largest paired distance (bottleneck)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValidationError("matching distance needs nonempty point sets")
-    if a.shape[0] != b.shape[0]:
-        raise ValidationError(
-            f"matching distance needs equal cardinalities, got {a.shape[0]} and {b.shape[0]}"
-        )
+    a, b = _point_sets(a, b, empty="matching distance needs nonempty point sets",
+                       unequal="matching distance needs equal cardinalities, got {} and {}")
     return _bottleneck(pairwise_distances(a, b))
 
 
@@ -624,10 +641,7 @@ FLOAT_SLACK = 1e-12  # absolute slack for float-evaluated inequalities
 
 def sum_map_lipschitz(f, lipschitz_constant: float, a, b) -> LipschitzCheck:
     """Check |sum f(A) - sum f(B)| <= n * L * matching_distance(A, B)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[0] != b.shape[0]:
-        raise ValidationError("lipschitz check needs equal cardinalities")
+    a, b = _point_sets(a, b, unequal="lipschitz check needs equal cardinalities")
     sa = float(sum(f(p) for p in a))
     sb = float(sum(f(p) for p in b))
     diff = abs(sa - sb)

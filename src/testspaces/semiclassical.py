@@ -24,7 +24,7 @@ from .metric import (
     MetricSample,
     VietorisBasicOpen,
     _nearest_distances,
-    _squared_distances,
+    _open_members,
     basic_open,
 )
 
@@ -222,16 +222,7 @@ def extract_semiclassical(
     open_hits: list[int | None] = []
     separation = np.inf
     for open_ in basis:
-        # member[t]: each point of test t lies in some ball so far;
-        # meets[b, t]: ball b holds some point of test t
-        member = np.ones(count, dtype=bool)
-        meets = np.zeros((len(open_.balls), count), dtype=bool)
-        for cols in slots:
-            dist = np.sqrt(_squared_distances(cols, open_.centers))
-            inside = dist < open_.radii[:, None]
-            member &= inside.any(axis=0)
-            meets |= inside
-        candidates = np.flatnonzero(member & meets.all(axis=0))
+        candidates = np.flatnonzero(_open_members(slots, open_))
         clearance = mind[:, candidates].min(axis=0)
         clear = np.flatnonzero(clearance >= margin)
         if not clear.size:

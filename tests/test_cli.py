@@ -219,6 +219,13 @@ def test_states_infeasible_strict_exit(capsys, tmp_path):
     assert code == 1
 
 
+def test_states_over_the_dispersion_free_cap_exits_2(capsys, tmp_path):
+    tsp_path, _ = save_sample(sample_frames(3, 8, 0), tmp_path / "df.tsp")
+    code, out, err = run(capsys, "states", "--dispersion-free", "--df-cap", "3", tsp_path)
+    assert (code, out) == (2, "")
+    assert err == "error: dispersion-free search over too many outcomes (needed 24, cap 3)\n"
+
+
 # -------------------------------------------------------------------- oa
 
 

@@ -446,3 +446,100 @@ def test_row_layout_equals_the_name_level_reference(rnd):
         tuple(frozenset(rename[x] for x in t) for t in frames.tests),
     )
     assert np.array_equal(_frame_points(sample), frozen_frame_points(sample))
+
+
+# ------------------------------------------- the one checking pass of a space
+
+
+def frozen_test_space(outcomes, tests):
+    """`TestSpace.__post_init__` and its `_index`/`_rows` before the checks
+    moved onto the rows: name-set checks, then the rows in a second pass.
+    Returns the refusal's text, or (index, rows); kept as the reference."""
+    if not outcomes:
+        return "a test space needs at least one outcome"
+    if len(set(outcomes)) != len(outcomes):
+        return "duplicate outcome ids"
+    if list(outcomes) != sorted(outcomes):
+        return "outcomes must be lexicographically sorted"
+    if not tests:
+        return "a test space needs at least one test"
+    known = set(outcomes)
+    seen = {}
+    for i, test in enumerate(tests):
+        if not test:
+            return f"test {i} is empty"
+        extra = test - known
+        if extra:
+            return f"test {i} uses unknown outcomes {sorted(extra)}"
+        if test in seen:
+            return f"test {i} duplicates test {seen[test]}"
+        seen[test] = i
+    covered = set().union(*tests)
+    if covered != known:
+        return f"outcomes not covered by any test: {sorted(known - covered)}"
+    index = {x: k for k, x in enumerate(outcomes)}
+    return index, tuple(tuple(index[x] for x in sorted(t)) for t in tests)
+
+
+@st.composite
+def space_inputs(draw):
+    """Outcomes and tests for `TestSpace(...)`, valid or with one drawn
+    fault: empty, duplicate or unsorted ids, or no, empty, unknown,
+    repeated or uncovering tests; over names whose sort order is not their
+    drawn order."""
+    names = draw(st.lists(st.sampled_from(TRICKY_NAMES), unique=True, max_size=8))
+    outcomes = sorted(names)
+    fault = draw(st.sampled_from(
+        ["none"] * 4 + ["duplicate", "unsorted", "no tests", "empty", "unknown", "repeat", "uncovered"]
+    ))
+    if fault == "duplicate" and outcomes:
+        outcomes.insert(draw(st.integers(0, len(outcomes))), draw(st.sampled_from(outcomes)))
+    elif fault == "unsorted":
+        outcomes = names
+    tests = []
+    if names:
+        member = st.sampled_from(names)
+        tests = draw(st.lists(st.frozensets(member, min_size=1, max_size=4), unique=True, max_size=5))
+    rest = frozenset(names).difference(*tests)
+    if rest and fault != "uncovered":
+        tests.insert(draw(st.integers(0, len(tests))), rest)
+    spot = draw(st.integers(0, len(tests)))
+    if fault == "no tests":
+        tests = []
+    elif fault == "empty":
+        tests.insert(spot, frozenset())
+    elif fault == "unknown":
+        tests.insert(spot, frozenset(draw(st.lists(st.sampled_from(names + ["q", "a3"]), min_size=1))))
+    elif fault == "repeat" and tests:
+        tests.insert(spot, draw(st.sampled_from(tests)))
+    return tuple(outcomes), tuple(tests)
+
+
+@settings(max_examples=400, deadline=None)
+@given(space_inputs())
+def test_space_checks_equal_the_frozen_name_passes(inputs):
+    try:
+        ts = TestSpace(*inputs)
+        got = (ts._index, ts._rows)
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == frozen_test_space(*inputs)
+
+
+@pytest.mark.parametrize(
+    "outcomes, tests, message",
+    [
+        ((), (frozenset("a"),), "a test space needs at least one outcome"),
+        (("a", "a"), (frozenset("a"),), "duplicate outcome ids"),
+        (("b", "a"), (frozenset("ab"),), "outcomes must be lexicographically sorted"),
+        (("a",), (), "a test space needs at least one test"),
+        (("a",), (frozenset("a"), frozenset()), "test 1 is empty"),
+        (("a", "b"), (frozenset("ab"), frozenset("bqc")), "test 1 uses unknown outcomes ['c', 'q']"),
+        (("a", "b"), (frozenset("a"), frozenset("ab"), frozenset("ba")), "test 2 duplicates test 1"),
+        (("a", "b", "c"), (frozenset("b"),), "outcomes not covered by any test: ['a', 'c']"),
+    ],
+)
+def test_space_refusals_built_directly(outcomes, tests, message):
+    with pytest.raises(ValidationError) as exc:
+        TestSpace(outcomes, tests)
+    assert str(exc.value) == message

@@ -375,6 +375,35 @@ def test_table_rejects_unknown_and_degenerate():
         loads_oa("elements 0\nzero 0\none 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("elements 0 1\n  elements 0 1\n", "second elements line", 2, 3),
+        ("# no names yet\n  zero 0\nelements 0 1\n", "zero line before elements line", 2, 3),
+        ("# nothing but a comment\n", "missing elements line", 1, 1),
+        ("elements 0 a b 1\nzero 0\nsum a b 1\n", "missing one line", 1, 1),
+    ],
+)
+def test_loads_oa_refuses_misplaced_and_missing_lines(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        loads_oa(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == (message, line, column)
+
+
+@pytest.mark.parametrize(
+    "elements, zero, sums, message",
+    [
+        (("0", "a", "a", "1"), "0", [], "duplicate element names"),
+        (("0", "a", "b", "1"), "q", [], "unknown element 'q'"),
+        (("0", "a", "b", "1"), "0", [("a", "q", "1")], "unknown element 'q' in sum"),
+    ],
+)
+def test_table_refusals_built_directly(elements, zero, sums, message):
+    with pytest.raises(ValidationError) as exc:
+        OrthoalgebraTable(elements, zero, "1", sums)
+    assert str(exc.value) == message
+
+
 def test_corpus_logics_roundtrip(spaces):
     for name in LOGIC_SIZES:
         oa = logic_to_oa(build_logic(spaces[name]))

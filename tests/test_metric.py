@@ -37,6 +37,7 @@ from testspaces.core import ParseError
 from testspaces.semiclassical import auto_basis
 
 from oracles import bottleneck_oracle, hausdorff_oracle
+from test_core import TRICKY_NAMES
 
 E1, E2, E3 = np.eye(3)
 ROOT2 = math.sqrt(2.0)
@@ -68,6 +69,44 @@ def test_vietoris_membership_is_strict():
     opens = basic_open([E2], ROOT2)
     assert not vietoris_member([E1], opens)  # boundary point is outside
     assert vietoris_member([E1], basic_open([E2], ROOT2 + 1e-9))
+
+
+def frozen_vietoris_member(points, open_):
+    """`vietoris_member` before its membership loop was shared with the
+    extraction: one (points, balls) distance matrix; kept as the reference."""
+    pts = np.asarray(points, dtype=float)
+    if pts.size == 0:
+        return False
+    dist = np.sqrt(metric_module._squared_distances(open_.centers, np.atleast_2d(pts)))
+    inside = dist < open_.radii[None, :]
+    return bool(inside.any(axis=1).all() and inside.any(axis=0).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_vietoris_member_equals_the_frozen_matrix(d, n, balls, seed):
+    """Each radius is one of the exact point-to-centre distances, so a point
+    on a boundary sphere decides the answer; above 7 dimensions the kernel
+    sums along a stacked axis."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((balls, d))
+    pts = centers[rng.integers(0, balls, n)] + 0.3 * rng.standard_normal((n, d))
+    dist = np.sqrt(metric_module._squared_distances(centers, pts))
+    radii = dist[rng.integers(0, n, balls), np.arange(balls)] * rng.choice([1.0, 1.5], balls)
+    open_ = VietorisBasicOpen(tuple(zip(centers, radii)))
+    assert vietoris_member(pts, open_) == frozen_vietoris_member(pts, open_)
+    assert vietoris_member(pts[0], open_) == frozen_vietoris_member(pts[0], open_)
+
+
+def test_vietoris_member_of_no_points_is_false():
+    open_ = basic_open([E1], 0.5)
+    assert not vietoris_member([], open_)
+    assert not vietoris_member(np.empty((0, 3)), open_)
 
 
 def test_basic_open_validation():
@@ -121,6 +160,39 @@ def test_matching_examples():
     for a, b in (([], []), (np.empty((0, 3)), np.empty((0, 3))), ([], [E1])):
         with pytest.raises(ValidationError, match="needs nonempty point sets"):
             matching_distance(a, b)
+
+
+def test_point_set_refusals_keep_their_order():
+    with pytest.raises(ValidationError, match="^hausdorff distance needs nonempty point sets$"):
+        hausdorff_distance([], [E1])
+    with pytest.raises(ValidationError, match="^matching distance needs equal cardinalities, got 1 and 2$"):
+        matching_distance([E1], [E1[:2], E2[:2]])
+    with pytest.raises(ValidationError, match="^lipschitz check needs equal cardinalities$"):
+        sum_map_lipschitz(lambda p: p[0], 1.0, [E1], [E1[:2], E2[:2]])
+    with pytest.raises(ValidationError, match="^point dimensions differ: 3 and 2$"):
+        pairwise_distances([E1], [E1[:2]])
+    with pytest.raises(ValidationError, match="^point sets must be 2-D, got 3-D and 2-D$"):
+        pairwise_distances(np.zeros((1, 1, 3)), [E1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_refused(bad):
+    a = np.eye(3)[:2]
+    b = a.copy()
+    b[1, 2] = bad
+    message = "^point coordinates must be finite$"
+    for call in (pairwise_distances, hausdorff_distance, matching_distance):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValidationError, match=message):
+                call(x, y)
+    with pytest.raises(ValidationError, match=message):
+        sum_map_lipschitz(lambda p: 0.0, 1.0, a, b)
+    with pytest.raises(ValidationError, match=message):
+        vietoris_member(b, basic_open(a, 0.5))
+    limit = np.eye(3)
+    limit[0, 0] = bad
+    with pytest.raises(ValidationError, match=message):
+        closure_check([np.eye(3)], limit)
 
 
 def frozen_threshold_bottleneck(dist: np.ndarray) -> float:
@@ -329,6 +401,9 @@ def test_metric_sample_accessors():
     assert np.allclose(s.point("c"), E3)
     assert s.distance("a", "b") == pytest.approx(ROOT2)
     assert s.orthogonal("a", "b")
+    assert not s.orthogonal("a", "a")
+    with pytest.raises(UnknownOutcomeError):
+        s.orthogonal("zzz", "zzz")
     assert sorted(map(tuple, s.orthogonal_pair_indices)) == [(0, 1), (0, 2), (1, 2)]
     ts = s.to_test_space()
     assert ts.outcomes == ("a", "b", "c")
@@ -398,6 +473,112 @@ def test_meaningless_ortho_tol_is_refused():
             MetricSample(s.ids, s.coords, s.tests, tol)
     rows = check_sample_invariants(s.ids, s.coords, s.tests, 0.0)
     assert rows[-1][0] == "in-test-orthogonality"
+
+
+def frozen_battery(ids, coords, tests, ortho_tol):
+    """`_battery` before its checks moved onto the index rows: four passes
+    over the names, then the rows; kept as the reference."""
+    metric_module._check_ortho_tol(ortho_tol)
+    rows = []
+    n, d = coords.shape if coords.ndim == 2 else (0, 0)
+    rows.append(("shape", coords.ndim == 2 and n == len(ids) and d >= 2,
+                 f"{len(ids)} ids, coords {coords.shape}"))
+    if not rows[-1][1]:
+        return rows, None, None
+    rows.append(("distinct-ids", len(set(ids)) == len(ids), f"{len(ids)} ids"))
+    norms = np.linalg.norm(coords, axis=1)
+    dev = float(np.abs(norms - 1.0).max()) if n else 0.0
+    rows.append(("unit-norm", dev <= metric_module.UNIT_NORM_TOL, f"max deviation {dev:.3e}"))
+    index = {x: i for i, x in enumerate(ids)}
+    known = all(x in index for t in tests for x in t)
+    rows.append(("test-ids-known", known, ""))
+    if not known:
+        return rows, index, None
+    rows.append(("tests-nonempty", bool(tests) and all(tests), f"{len(tests)} tests"))
+    rows.append(("test-size", all(len(t) <= d for t in tests),
+                 f"max {max((len(t) for t in tests), default=0)} <= dim {d}"))
+    dup = len(set(tests)) != len(tests)
+    rows.append(("tests-distinct", not dup, ""))
+    covered = set().union(*tests) if tests else set()
+    rows.append(("covering", covered == set(ids),
+                 f"{len(set(ids) - covered)} uncovered"))
+    thr = math.sin(ortho_tol)
+    test_rows = tuple(tuple(index[x] for x in sorted(t)) for t in tests)
+    worst = 0.0
+    for k in {len(r) for r in test_rows if len(r) > 1}:
+        pts = coords[np.array([r for r in test_rows if len(r) == k])]
+        g = pts @ pts.transpose(0, 2, 1)
+        worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
+    rows.append(("in-test-orthogonality", worst <= thr,
+                 f"max |inner| {worst:.3e} vs {thr:.3e}"))
+    return rows, index, test_rows
+
+
+BATTERY_FAULTS = [
+    "none", "none", "duplicate id", "ndim 1", "ndim 3", "rows", "dim 1", "norm",
+    "unknown", "no tests", "empty", "repeat", "uncovered", "oversize", "subsets", "tilt",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(BATTERY_FAULTS),
+    st.randoms(use_true_random=False),
+)
+def test_battery_equals_the_frozen_name_passes(d, count, fault, rnd):
+    """Frames renamed from TRICKY_NAMES, listed unsorted, with one drawn
+    fault in the ids, the coordinates or the tests."""
+    frames = sample_frames(d, count, rnd.randrange(1000))
+    order = rnd.sample(range(d * count), d * count)
+    rename = dict(zip(frames.ids, rnd.sample(TRICKY_NAMES, d * count)))
+    ids = [rename[frames.ids[i]] for i in order]
+    coords = frames.coords[order]
+    tests = [frozenset(rename[x] for x in t) for t in frames.tests]
+    spot = rnd.randrange(len(tests) + 1)
+    if fault == "duplicate id":  # a second row for one id, so every test stays known
+        k = rnd.randrange(len(ids))
+        ids.append(ids[k])
+        coords = np.vstack([coords, coords[k]])
+    elif fault == "ndim 1":
+        coords = coords.ravel()
+    elif fault == "ndim 3":
+        coords = coords[None]
+    elif fault == "rows":
+        coords = coords[1:]
+    elif fault == "dim 1":
+        coords = coords[:, :1]
+    elif fault == "norm":
+        coords[rnd.randrange(len(coords))] *= 1.5
+    elif fault == "unknown":
+        tests.insert(spot, frozenset([rnd.choice(ids), "q"]))
+    elif fault == "no tests":
+        tests = []
+    elif fault == "empty":
+        tests.insert(spot, frozenset())
+    elif fault == "repeat":
+        tests.insert(spot, rnd.choice(tests))
+    elif fault == "uncovered":
+        tests.pop(rnd.randrange(len(tests)))
+    elif fault == "oversize":
+        tests.insert(spot, frozenset(rnd.sample(ids, min(len(ids), d + 1))))
+    elif fault == "subsets":
+        tests = [frozenset(rnd.sample(sorted(t), rnd.randint(0, d))) for t in tests]
+    elif fault == "tilt":
+        coords[rnd.randrange(len(coords))] += 1e-6
+    args = (tuple(ids), coords, tuple(tests), metric_module.DEFAULT_ORTHO_TOL)
+    assert metric_module._battery(*args) == frozen_battery(*args)
+
+
+def test_battery_stops_at_a_bad_shape_and_at_unknown_ids():
+    s = sample_frames(3, 2, seed=1)
+    rows = check_sample_invariants(s.ids, s.coords[:, :1], s.tests, s.ortho_tol)
+    assert rows == [("shape", False, "6 ids, coords (6, 1)")]
+    tests = s.tests + (frozenset([s.ids[0], "q"]),)
+    rows = check_sample_invariants(s.ids, s.coords, tests, s.ortho_tol)
+    assert [name for name, _, _ in rows] == ["shape", "distinct-ids", "unit-norm", "test-ids-known"]
+    assert rows[-1] == ("test-ids-known", False, "")
 
 
 def frozen_in_test_orthogonality(ids, coords, tests, ortho_tol):

@@ -242,7 +242,6 @@ def test_one_index_per_sample_and_sub_sample_on_read(monkeypatch):
         return _index_rows(index, tests)
 
     monkeypatch.setattr("testspaces.metric._index_rows", counting)
-    monkeypatch.setattr("testspaces.core._index_rows", counting)  # TestSpace._rows
     small = sample_frames(3, 20, seed=4)
     basis = auto_basis(small, 5, delta=0.9)
     first = extract_semiclassical(small, basis, density_target=0.9)
