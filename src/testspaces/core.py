@@ -408,13 +408,14 @@ def load_test_space(text: str) -> TestSpace:
     return TestSpace.build(outcomes, tests)
 
 
+def _space_text(outcomes, ids, rows, header: str | None) -> str:
+    """Header comment lines, the outcomes line, then each row as ids[k]."""
+    lines = [f"# {h}" for h in (header or "").splitlines()]
+    lines.append("outcomes " + " ".join(outcomes))
+    lines += ["test " + " ".join([ids[k] for k in row]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def dump_test_space(ts: TestSpace, header: str | None = None) -> str:
     """Serialize a test space back to its textual form (deterministic)."""
-    lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append(f"# {h}")
-    lines.append("outcomes " + " ".join(ts.outcomes))
-    for row in ts._rows:
-        lines.append("test " + " ".join([ts.outcomes[k] for k in row]))
-    return "\n".join(lines) + "\n"
+    return _space_text(ts.outcomes, ts.outcomes, ts._rows, header)

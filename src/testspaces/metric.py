@@ -27,7 +27,7 @@ from .core import (
     _column,
     _index_rows,
     _lines,
-    dump_test_space,
+    _space_text,
     is_event,
     load_test_space,
 )
@@ -323,15 +323,6 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _nearest_distances(a, b) -> np.ndarray:
-    """Distance from each point of a to the nearest point of b.
-
-    The minimum is taken over squared distances and the square root once,
-    which is exact because the square root is monotone.
-    """
-    return np.sqrt(_squared_distances(a, b).min(axis=0))
-
-
 def _point_sets(a, b, empty: str | None = None, unequal: str | None = None):
     """a and b as 2-D float arrays of finite points of one dimension, else
     ValidationError; before the dimension check, `empty` refuses a set with
@@ -362,18 +353,14 @@ def pairwise_distances(a, b) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def _open_members(slots: np.ndarray, open_: VietorisBasicOpen) -> np.ndarray:
-    """Which tests lie inside the basic open, as one flag per test; slots[s, t]
-    is point s of test t.  A test is inside when each of its points lies in
-    some ball and each ball holds one of its points; balls are open."""
-    member = np.ones(slots.shape[1], dtype=bool)
-    meets = np.zeros((len(open_.balls), slots.shape[1]), dtype=bool)
-    for cols in slots:
-        dist = np.sqrt(_squared_distances(cols, open_.centers))
-        inside = dist < open_.radii[:, None]
-        member &= inside.any(axis=0)
-        meets |= inside
-    return member & meets.all(axis=0)
+def _open_members(flat: np.ndarray, count: int, open_: VietorisBasicOpen) -> np.ndarray:
+    """Which of count tests lie inside the basic open, as one flag per test;
+    flat[s * count + t] is point s of test t.  A test is inside when each of
+    its points lies in some ball and each ball holds one of its points;
+    balls are open."""
+    dist = np.sqrt(_squared_distances(flat, open_.centers))
+    inside = (dist < open_.radii[:, None]).reshape(len(open_.balls), -1, count)
+    return inside.any(axis=0).all(axis=0) & inside.any(axis=1).all(axis=0)
 
 
 def vietoris_member(points, open_: VietorisBasicOpen) -> bool:
@@ -385,7 +372,7 @@ def vietoris_member(points, open_: VietorisBasicOpen) -> bool:
     if pts.size == 0:
         return False
     pts, _ = _point_sets(pts, open_.centers)
-    return bool(_open_members(pts[:, None, :], open_)[0])
+    return bool(_open_members(pts, 1, open_)[0])
 
 
 def _hausdorff(dist: np.ndarray) -> float:
@@ -656,12 +643,13 @@ def sidecar_path(tsp_path: str) -> str:
 
 
 def save_sample(sample: MetricSample, tsp_path, coords_path=None, header: str | None = None):
-    """Write the combinatorial file plus the coordinate sidecar; returns paths."""
+    """Write the combinatorial file, from the sample's own rows, plus the
+    coordinate sidecar; returns paths."""
     tsp_path = os.fspath(tsp_path)
     if coords_path is None:
         coords_path = sidecar_path(tsp_path)
     with open(tsp_path, "w") as fh:
-        fh.write(dump_test_space(sample.to_test_space(), header))
+        fh.write(_space_text(sorted(sample.ids), sample.ids, sample._rows, header))
     with open(coords_path, "w") as fh:
         for x, row in zip(sample.ids, sample.coords.tolist()):
             coords = " ".join(map(repr, row))

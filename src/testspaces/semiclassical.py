@@ -23,8 +23,8 @@ from .core import TestSpace, TspError, ValidationError
 from .metric import (
     MetricSample,
     VietorisBasicOpen,
-    _nearest_distances,
     _open_members,
+    _squared_distances,
     basic_open,
 )
 
@@ -167,15 +167,16 @@ def _frame_points(sample: MetricSample) -> np.ndarray:
 
 
 def _slots(sample: MetricSample) -> np.ndarray:
-    """The points in slot s of every test, as slots[s] of shape (tests, dim)
-    with contiguous coordinate columns; test t's points are slots[:, t]."""
-    return _frame_points(sample).transpose(1, 2, 0).copy().transpose(0, 2, 1)
+    """All sampled points in one (size * tests, dim) array with contiguous
+    coordinate columns: row s * tests + t is point s of test t, so test k's
+    points are flat[k::tests]."""
+    pts = _frame_points(sample)
+    return pts.transpose(2, 1, 0).reshape(pts.shape[2], -1).T
 
 
-def _nearest_update(slots: np.ndarray, mind: np.ndarray, points) -> None:
-    """Lower mind[s, t] to the distance from slot s of test t to points."""
-    for s, cols in enumerate(slots):
-        np.minimum(mind[s], _nearest_distances(cols, points), out=mind[s])
+def _nearest_update(flat: np.ndarray, mind: np.ndarray, points) -> None:
+    """Lower mind[i] to the squared distance from flat[i] to points."""
+    np.minimum(mind, _squared_distances(flat, points).min(axis=0), out=mind)
 
 
 def _check_basis(basis: tuple, dim: int) -> None:
@@ -206,6 +207,8 @@ def extract_semiclassical(
     distance from any sampled point to the selected ones; when a density
     target is given the result records whether the target was met; a
     target that is not positive and finite raises ValidationError.
+    Distances are kept squared and rooted only where read, which is exact:
+    the square root is correctly rounded and monotone.
     """
     if not margin > 0:
         raise ValidationError("margin must be positive")
@@ -214,16 +217,17 @@ def extract_semiclassical(
     basis = tuple(basis)
     if not basis:
         raise ValidationError("basis must contain at least one open")
-    slots = _slots(sample)
-    size, count, dim = slots.shape
-    _check_basis(basis, dim)
-    mind = np.full((size, count), np.inf)  # distance to the selected points
+    flat = _slots(sample)
+    count = len(sample.tests)
+    _check_basis(basis, flat.shape[1])
+    mind = np.full(len(flat), np.inf)  # squared distance to the selected points
+    by_test = mind.reshape(-1, count)
     selected: list[int] = []
     open_hits: list[int | None] = []
     separation = np.inf
     for open_ in basis:
-        candidates = np.flatnonzero(_open_members(slots, open_))
-        clearance = mind[:, candidates].min(axis=0)
+        candidates = np.flatnonzero(_open_members(flat, count, open_))
+        clearance = np.sqrt(by_test[:, candidates].min(axis=0))
         clear = np.flatnonzero(clearance >= margin)
         if not clear.size:
             open_hits.append(None)
@@ -232,32 +236,35 @@ def extract_semiclassical(
         open_hits.append(k)
         selected.append(k)
         separation = min(separation, float(clearance[clear[0]]))
-        _nearest_update(slots, mind, slots[:, k])
+        _nearest_update(flat, mind, flat[k::count])
     if not selected:
         raise ValidationError("no open admitted a selection; widen the basis")
     return ExtractionResult(
         sample=sample,
         selected=tuple(selected),
         open_hits=tuple(open_hits),
-        coverage_radius=float(mind.max()),
+        coverage_radius=float(np.sqrt(mind.max())),
         separation=float(separation),
         margin=margin,
         density_target=density_target,
     )
 
 
-def _coverage_sweep(slots, mind, n_new):
-    """Advance the farthest-point sweep by n_new anchors, updating mind."""
+def _coverage_sweep(flat, count, mind, n_new):
+    """Advance the farthest-point sweep over count tests by n_new anchors,
+    updating the squared distances in mind."""
     anchors: list[int] = []
     chosen: set[int] = set()
+    by_test = mind.reshape(-1, count)
     while len(anchors) < n_new:
-        # the first test holding a farthest point, as in test-major order
-        owner = int(np.argmax(mind.max(axis=0)))
+        # the first test holding a farthest point, as in test-major order;
+        # rooted first, since two squared maxima can share one distance
+        owner = int(np.argmax(np.sqrt(by_test.max(axis=0))))
         if owner in chosen:  # everything already at distance zero
-            owner = min(k for k in range(slots.shape[1]) if k not in chosen)
+            owner = min(k for k in range(count) if k not in chosen)
         anchors.append(owner)
         chosen.add(owner)
-        _nearest_update(slots, mind, slots[:, owner])
+        _nearest_update(flat, mind, flat[owner::count])
     return anchors
 
 
@@ -273,15 +280,15 @@ def _open_radius(delta: float, achieved: float) -> float:
     return slack if slack > 0 else delta / 4
 
 
-def _sweep_opens(slots, seeds, n_new: int, delta: float):
+def _sweep_opens(flat, count, seeds, n_new: int, delta: float):
     """n_new basic opens, one around each anchor of a farthest-point sweep
-    that starts from the point sets in seeds."""
-    mind = np.full(slots.shape[:2], np.inf)
+    over count tests that starts from the point sets in seeds."""
+    mind = np.full(len(flat), np.inf)
     for points in seeds:
-        _nearest_update(slots, mind, points)
-    anchors = _coverage_sweep(slots, mind, n_new)
-    radius = _open_radius(delta, float(mind.max()))
-    return tuple(basic_open(slots[:, a], radius) for a in anchors)
+        _nearest_update(flat, mind, points)
+    anchors = _coverage_sweep(flat, count, mind, n_new)
+    radius = _open_radius(delta, float(np.sqrt(mind.max())))
+    return tuple(basic_open(flat[a::count], radius) for a in anchors)
 
 
 def _check_delta(delta: float) -> None:
@@ -301,11 +308,11 @@ def auto_basis(sample: MetricSample, n_opens: int, delta: float):
     target.
     """
     _check_delta(delta)
-    slots = _slots(sample)
-    count = slots.shape[1]
+    flat = _slots(sample)
+    count = len(sample.tests)
     if not 1 <= n_opens <= count:
         raise ValidationError(f"need between 1 and {count} opens, got {n_opens}")
-    return _sweep_opens(slots, (), n_opens, delta)
+    return _sweep_opens(flat, count, (), n_opens, delta)
 
 
 def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
@@ -322,6 +329,6 @@ def extend_basis(sample: MetricSample, basis, n_more: int, delta: float):
     if not 1 <= n_more <= count:
         raise ValidationError(f"need between 1 and {count} additional opens, got {n_more}")
     _check_delta(delta)
-    slots = _slots(sample)
-    _check_basis(basis, slots.shape[2])
-    return basis + _sweep_opens(slots, [o.centers for o in basis], n_more, delta)
+    flat = _slots(sample)
+    _check_basis(basis, flat.shape[1])
+    return basis + _sweep_opens(flat, count, [o.centers for o in basis], n_more, delta)

@@ -324,8 +324,10 @@ def test_exact_distances_equal_frozen_norm(d, n, m, scale, seed, block_elements)
             mp.setattr(metric_module, "_BLOCK_ELEMENTS", block_elements)
         got = pairwise_distances(a, b)
         # the nearest distances take the minimum before the square root
-        nearest = metric_module._nearest_distances(a, b)
-        nearest_f = metric_module._nearest_distances(np.asfortranarray(a), b)
+        nearest = np.sqrt(metric_module._squared_distances(a, b).min(axis=0))
+        nearest_f = np.sqrt(
+            metric_module._squared_distances(np.asfortranarray(a), b).min(axis=0)
+        )
         hausdorff = hausdorff_distance(a, b)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
@@ -1170,6 +1172,30 @@ def test_save_load_roundtrip_is_exact(tmp_path):
         # repr() round-trips floats
         assert np.array_equal(loaded.coords, np.stack([s.point(x) for x in loaded.ids]))
         assert loaded.tests == s.tests
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=11),
+    count=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    header=st.one_of(st.none(), st.text(alphabet="ab =\n", max_size=12)),
+)
+# d = 11 lists f….10 before f….2, so the sample's ids are not sorted
+@example(d=11, count=5, seed=0, header="frames dim=11")
+@example(d=11, count=5, seed=1, header=None)
+def test_save_sample_writes_the_dump_of_its_space(tmp_path_factory, d, count, seed, header):
+    """The .tsp comes from the sample's own rows, with no TestSpace built,
+    for ids and tests in any order."""
+    frames = sample_frames(d, count, seed)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(frames.ids))
+    s = MetricSample(tuple(frames.ids[i] for i in order), frames.coords[order],
+                     tuple(frames.tests[k] for k in rng.permutation(count)))
+    path = tmp_path_factory.mktemp("save") / "s.tsp"
+    with mock.patch.object(TestSpace, "__post_init__", side_effect=AssertionError):
+        save_sample(s, path, header=header)
+    assert path.read_text() == dump_test_space(s.to_test_space(), header)
 
 
 def test_load_sample_reports_missing_coordinates(tmp_path):

@@ -13,6 +13,7 @@ from testspaces.logic import build_logic
 from testspaces.metric import (
     MetricSample,
     VietorisBasicOpen,
+    _squared_distances,
     basic_open,
     sample_frames,
     save_sample,
@@ -22,6 +23,7 @@ from testspaces.semiclassical import (
     DegenerateTestError,
     ExtractionResult,
     NotSemiclassicalError,
+    _coverage_sweep,
     auto_basis,
     disjoint_tests,
     extend_basis,
@@ -505,3 +507,36 @@ def test_extraction_equals_frozen_reference_with_forced_misses():
         assert extraction_answer(sample, basis, margin) == want
         if margin >= 0.2:
             assert None in want[1]  # the margin turned some opens away
+
+
+# ------------------------------------ square roots taken after the reductions
+
+
+def test_sweep_breaks_ties_on_the_rooted_distance():
+    """Squared maxima 0.25 and its successor share the distance 0.5, so the
+    sweep's first-on-ties rule picks test 0, not the larger squared value."""
+    above = np.nextafter(0.25, 1)
+    assert np.sqrt(above) == np.sqrt(0.25) == 0.5
+    flat = np.asfortranarray(np.eye(3)[[0, 1, 2, 0]])  # 2 slots of 2 tests
+    mind = np.array([0.25, above, 0.0, 0.0])  # row s * 2 + t: slot s, test t
+    assert _coverage_sweep(flat, 2, mind, 1) == [0]
+
+
+def test_clearance_equal_to_the_margin_after_the_root_is_clear():
+    """A rotated frame whose clearance, rooted, equals the margin exactly
+    while the margin squared exceeds the squared clearance: the test is
+    selected, as the frozen reference selects it."""
+    t = 0.07
+    frame = np.eye(2)
+    turned = np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+    sample = MetricSample(("a0", "a1", "b0", "b1"), np.vstack([frame, turned]),
+                          (frozenset({"a0", "a1"}), frozenset({"b0", "b1"})))
+    squared = float(_squared_distances(frame, turned).min())
+    margin = math.sqrt(squared)
+    assert margin * margin > squared  # a squared comparison would turn it away
+    basis = (basic_open(frame, 0.01), basic_open(turned, 0.01))
+    result = extract_semiclassical(sample, basis, margin=margin)
+    assert result.open_hits == (0, 1)
+    assert result.separation == margin
+    assert frozen_extract(sample, basis, margin)[1] == (0, 1)
+    assert extract_semiclassical(sample, basis, margin=np.nextafter(margin, 1)).open_hits == (0, None)
