@@ -35,7 +35,8 @@ from .logic import (
 from .metric import (
     DEFAULT_ORTHO_TOL,
     MetricSample,
-    check_sample_invariants,
+    _battery,
+    _parsed_sample,
     dump_basis,
     load_basis,
     parse_sample,
@@ -202,7 +203,7 @@ def _read_sample(path: str, coords: str | None) -> tuple[str, str]:
 
 def _cmd_metric_check(args) -> int:
     ts, pts = parse_sample(*_read_sample(args.file, args.coords))
-    rows = check_sample_invariants(ts.outcomes, pts, ts.tests, args.ortho_tol)
+    rows = _battery(ts.outcomes, pts, ts.tests, args.ortho_tol, ts)[0]
     out = []
     failed = False
     for name, ok, detail in rows:
@@ -257,8 +258,7 @@ def _extraction_rows(result, prefix: str = ""):
 
 def _cmd_extract(args) -> int:
     text, coords_text = _read_sample(args.file, args.coords)
-    ts, pts = parse_sample(text, coords_text)
-    sample = MetricSample(ts.outcomes, pts, ts.tests, args.ortho_tol)
+    sample = _parsed_sample(*parse_sample(text, coords_text), args.ortho_tol)
     basis = _resolve_basis(args.basis, sample, args.delta)
     if args.save_basis:
         with open(args.save_basis, "w") as fh:

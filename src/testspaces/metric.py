@@ -69,10 +69,12 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
     return _battery(ids, coords, tests, ortho_tol)[0]
 
 
-def _battery(ids, coords, tests, ortho_tol):
+def _battery(ids, coords, tests, ortho_tol, space: TestSpace | None = None):
     """(rows, index, test_rows): the rows of `check_sample_invariants`, the
     id -> row index and each test's index rows that it built, each None
-    where the battery stopped before building it."""
+    where the battery stopped before building it.  Given the TestSpace of
+    ids and tests, it reads that space's index and rows instead of building
+    them, and checks them as its own."""
     _check_ortho_tol(ortho_tol)
     rows = []
     n, d = coords.shape if coords.ndim == 2 else (0, 0)
@@ -80,13 +82,13 @@ def _battery(ids, coords, tests, ortho_tol):
                  f"{len(ids)} ids, coords {coords.shape}"))
     if not rows[-1][1]:
         return rows, None, None
-    index = {x: i for i, x in enumerate(ids)}
+    index = {x: i for i, x in enumerate(ids)} if space is None else space._index
     rows.append(("distinct-ids", len(index) == len(ids), f"{len(ids)} ids"))
     norms = np.linalg.norm(coords, axis=1)
     dev = float(np.abs(norms - 1.0).max()) if n else 0.0
     rows.append(("unit-norm", dev <= UNIT_NORM_TOL, f"max deviation {dev:.3e}"))
     try:
-        test_rows = _index_rows(index, tests)
+        test_rows = _index_rows(index, tests) if space is None else space._rows
     except KeyError:
         rows.append(("test-ids-known", False, ""))
         return rows, index, None
@@ -108,31 +110,41 @@ def _battery(ids, coords, tests, ortho_tol):
     return rows, index, test_rows
 
 
-_BLOCK_ELEMENTS = 1 << 20  # 8 MB of float64 per row block of a blocked scan
+_BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per temporary of a blocked scan
 
 
 def _orthogonal_pairs(pts: np.ndarray, thr: float):
     """Yield the index pairs (i < j) with |<p_i, p_j>| <= thr in row-major
-    order, one array per row block of the Gram matrix that holds any.
+    order, one array per band of rows of the Gram matrix that holds any.
 
-    Each row block meets only the columns from its first row on, and as
-    those narrow the blocks take more rows, all in one reused buffer of at
-    most max(_BLOCK_ELEMENTS, n) floats.
+    Each band meets only the columns from its first row on, tile by tile,
+    in one reused buffer of at most _BLOCK_ELEMENTS floats: square tiles,
+    or whole rows where n is narrower than a square.  Tiles of many rows
+    keep each product a matrix product where a full-width row of a large n
+    would be a matrix-vector one.  A band's hits, gathered tile by tile,
+    are sorted row-major once.  pts holds at least one point.
     """
     n = len(pts)
-    # reused: a new block each step page-faults anew
-    buf = np.empty(min(n * n, max(_BLOCK_ELEMENTS, n)))
-    s = 0
-    while s < n:
-        width = n - s
-        rows = min(width, max(1, _BLOCK_ELEMENTS // width))
-        g = buf[: rows * width].reshape(rows, width)
-        np.matmul(pts[s : s + rows], pts[s:].T, out=g)
-        ii, jj = np.divmod(np.flatnonzero(np.abs(g, out=g) <= thr), width)
-        keep = ii < jj
-        if keep.any():
-            yield np.stack([ii[keep], jj[keep]], axis=1) + s
-        s += rows
+    width = min(n, math.isqrt(_BLOCK_ELEMENTS))
+    rows = min(n, _BLOCK_ELEMENTS // width)
+    # reused: a new tile each step page-faults anew
+    buf = np.empty(rows * width)
+    for s in range(0, n, rows):
+        band = pts[s : s + rows]
+        hits = []
+        for c in range(s, n, width):
+            g = buf[: len(band) * min(width, n - c)].reshape(len(band), -1)
+            np.matmul(band, pts[c : c + width].T, out=g)
+            ii, jj = np.divmod(np.flatnonzero(np.abs(g, out=g) <= thr), g.shape[1])
+            ii += s
+            jj += c
+            keep = ii < jj
+            if keep.any():
+                hits.append((ii[keep], jj[keep]))
+        if hits:
+            ii, jj = (np.concatenate(x) for x in zip(*hits))
+            order = np.lexsort((jj, ii))
+            yield np.stack([ii[order], jj[order]], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +163,8 @@ class MetricSample:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", np.ascontiguousarray(self.coords, dtype=float))
-        rows, index, test_rows = _battery(self.ids, self.coords, self.tests, self.ortho_tol)
+        space = self.__dict__.get("_test_space")  # set by _parsed_sample
+        rows, index, test_rows = _battery(self.ids, self.coords, self.tests, self.ortho_tol, space)
         for name, ok, detail in rows:
             if not ok:
                 raise ValidationError(f"sample invariant {name} fails: {detail}")
@@ -291,6 +304,12 @@ def dump_basis(basis) -> str:
 _COLUMN_DIMS = 7
 
 
+def _diff_floats(a: np.ndarray) -> int:
+    """The floats of _squared_distances' difference buffer per row of b:
+    one per point of a by columns, one per coordinate when stacked."""
+    return a.size if a.shape[1] > _COLUMN_DIMS else len(a)
+
+
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances, shape (len(b), len(a)), from each point of b to
     each point of a, rounded exactly as np.linalg.norm rounds them before
@@ -304,7 +323,7 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reduces them.
     """
     stacked = a.shape[1] > _COLUMN_DIMS
-    rows = max(1, _BLOCK_ELEMENTS // max(a.size, 1))
+    rows = max(1, _BLOCK_ELEMENTS // max(_diff_floats(a), 1))
     total = np.empty((len(b), len(a)))
     diff = np.empty((min(rows, len(b)), len(a)) + ((a.shape[1],) if stacked else ()))
     for s in range(0, len(b), rows):
@@ -381,15 +400,20 @@ def _hausdorff(dist: np.ndarray) -> float:
 
 def hausdorff_distance(a, b) -> float:
     """_hausdorff(pairwise_distances(a, b)), from the least squared distances
-    of each row block of b, without holding the whole matrix."""
+    of each row block of b, without holding the whole matrix; a block of
+    distances and the kernel's difference buffer fit _BLOCK_ELEMENTS
+    together."""
     a, b = _point_sets(a, b, empty="hausdorff distance needs nonempty point sets")
-    rows = max(1, _BLOCK_ELEMENTS // max(a.size, 1))
+    if a.shape[1] <= _COLUMN_DIMS:
+        a = np.asfortranarray(a)  # the kernel reads a column by column
+    rows = max(1, _BLOCK_ELEMENTS // (len(a) + _diff_floats(a)))
     to_b = np.full(len(a), np.inf)  # from each point of a to b
     to_a = np.empty(len(b))  # from each point of b to a
     for s in range(0, len(b), rows):
         block = _squared_distances(a, b[s : s + rows])
         np.minimum(to_b, block.min(axis=0), out=to_b)
         block.min(axis=1, out=to_a[s : s + rows])
+        del block  # so the next block's buffers take its place
     return float(max(np.sqrt(to_b).max(), np.sqrt(to_a).max()))
 
 
@@ -707,5 +731,14 @@ def load_sample(tsp_path, coords_path=None, ortho_tol: float = DEFAULT_ORTHO_TOL
         tsp_text = fh.read()
     with open(coords_path) as fh:
         coords_text = fh.read()
-    ts, pts = parse_sample(tsp_text, coords_text)
-    return MetricSample(ts.outcomes, pts, ts.tests, ortho_tol)
+    return _parsed_sample(*parse_sample(tsp_text, coords_text), ortho_tol)
+
+
+def _parsed_sample(ts: TestSpace, coords: np.ndarray, ortho_tol: float) -> MetricSample:
+    """MetricSample(ts.outcomes, coords, ts.tests, ortho_tol) on the parsed
+    space: its battery reads the space's index and rows, and the space stays
+    the sample's to_test_space()."""
+    sample = object.__new__(MetricSample)
+    sample.__dict__["_test_space"] = ts  # where the cached property keeps it
+    sample.__init__(ts.outcomes, coords, ts.tests, ortho_tol)
+    return sample

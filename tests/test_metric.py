@@ -354,16 +354,85 @@ def test_matching_of_a_set_with_itself_takes_one_matching():
 
 
 def test_hausdorff_reduces_blocks_without_the_whole_matrix():
-    a, b = seeded_points(3, 2000), seeded_points(4, 2000)
-    want = metric_module._hausdorff(pairwise_distances(a, b))
-    tracemalloc.start()
-    try:
+    """A block of distances and the kernel's difference buffer share the
+    budget, and each block is freed before the next is made; on both
+    kernel paths."""
+    for d in (3, 11):
+        a, b = seeded_points(3, 2000, d), seeded_points(4, 2000, d)
+        want = metric_module._hausdorff(pairwise_distances(a, b))
+        tracemalloc.start()
+        try:
+            got = hausdorff_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2000 * 2000 * 8 // 2  # half of the float64 matrix
+        assert peak < 8 * metric_module._BLOCK_ELEMENTS * 3 // 2
+
+
+# hausdorff_distance before its blocks were sized by what they allocate:
+# row blocks of a.size floats of the 8 MB budget, on the same kernel; frozen
+# here as the reference.
+
+
+def frozen_hausdorff(a, b, block_elements: int = 1 << 20) -> float:
+    rows = max(1, block_elements // max(a.size, 1))
+    to_b = np.full(len(a), np.inf)
+    to_a = np.empty(len(b))
+    for s in range(0, len(b), rows):
+        block = metric_module._squared_distances(a, b[s : s + rows])
+        np.minimum(to_b, block.min(axis=0), out=to_b)
+        block.min(axis=1, out=to_a[s : s + rows])
+    return float(max(np.sqrt(to_b).max(), np.sqrt(to_a).max()))
+
+
+def laid_out(pts: np.ndarray, layout: str) -> np.ndarray:
+    """pts in C order, in Fortran order, or as a view that is neither."""
+    if layout == "F":
+        return np.asfortranarray(pts)
+    if layout == "sliced":  # every other row of a wider array
+        wide = np.zeros((2 * len(pts), pts.shape[1] + 1))
+        wide[::2, 1:] = pts
+        return wide[::2, 1:]
+    return np.ascontiguousarray(pts)
+
+
+# Budgets of the blocked scans, in floats: the default, tiny ones that cut
+# every band into several tiles, and three rows of n.
+TILE_BUDGETS = [None, 6, 64, "3n"]
+
+
+def budget_floats(budget, n: int) -> int | None:
+    return 3 * n if budget == "3n" else budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=11),
+    st.integers(min_value=1, max_value=70),
+    st.integers(min_value=1, max_value=70),
+    st.sampled_from(["C", "F", "sliced"]),
+    st.sampled_from(["C", "F", "sliced"]),
+    st.sampled_from(TILE_BUDGETS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(3, 2000, 1999, "C", "C", None, 0)
+@example(11, 301, 300, "F", "sliced", None, 1)
+def test_hausdorff_equals_the_frozen_row_blocks(d, n, m, layout_a, layout_b, budget, seed):
+    """To the bit, for any memory layout and on both kernel paths (d crosses
+    _COLUMN_DIMS), with shared points so that some distances are 0."""
+    rng = np.random.default_rng(seed)
+    a = seeded_points(seed, n, d)
+    b = np.vstack([seeded_points(seed + 1, m, d), a[rng.permutation(n)[: m // 3]]])
+    a, b = laid_out(a, layout_a), laid_out(b, layout_b)
+    want = frozen_hausdorff(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(metric_module, "_BLOCK_ELEMENTS", budget_floats(budget, n))
         got = hausdorff_distance(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert got == want
-    assert peak < 2000 * 2000 * 8 // 2  # half of the float64 matrix
+    assert got == metric_module._hausdorff(pairwise_distances(a, b))
 
 
 def test_hausdorff_agrees_with_oracle():
@@ -710,7 +779,7 @@ def concat_pairs(chunks) -> np.ndarray:
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=2, max_value=11),
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=60),
     st.sampled_from([math.sin(1e-9), 0.05, 0.3]),
@@ -742,8 +811,32 @@ def test_orthogonal_pair_scan_keeps_to_its_block_budget():
     finally:
         tracemalloc.stop()
     assert np.array_equal(got, want)
-    # the float buffer and one boolean block, far below the 72 MB Gram matrix
+    # the float tile buffer and one boolean tile, far below the 72 MB Gram matrix
     assert peak < 8 * metric_module._BLOCK_ELEMENTS * 3 // 2
+
+
+@pytest.mark.parametrize("budget", TILE_BUDGETS[1:])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=11),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=0, max_value=40),
+    st.sampled_from([math.sin(1e-9), 0.05, 0.3]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(3, 13, 8, 0.3, 0)  # 47 points, a prime: no tile side divides them
+def test_orthogonal_pairs_equal_the_frozen_scan_in_many_tiles(budget, d, frames, extra, thr, seed):
+    """Budgets under which most bands span several tiles and the points
+    fill several bands, so each band's hits come out of several tiles."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([sample_frames(d, frames, seed % 1000).coords, seeded_points(seed, extra, d)])
+    pts = pts[rng.permutation(len(pts))]
+    want = concat_pairs(frozen_orthogonal_pairs(pts, thr))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_module, "_BLOCK_ELEMENTS", budget_floats(budget, len(pts)))
+        got = concat_pairs(metric_module._orthogonal_pairs(pts, thr))
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape and (got == want).all()
 
 
 # -------------------------------------------------------------- rank bound
@@ -783,7 +876,8 @@ def test_rank_bound_skips_only_caps_too_small_for_an_orthogonal_pair(monkeypatch
 
 @pytest.mark.parametrize("d, count, seed", [(3, 200, 4), (4, 120, 5), (6, 60, 6)])
 def test_rank_bound_answers_like_the_frozen_scan(monkeypatch, d, count, seed):
-    """The cap count, or the (center, pair) of the first cap with a pair."""
+    """The cap count, or the (center, pair) of the first cap with a pair,
+    at tile budgets from tiny to the default and against the frozen scan."""
     s = sample_frames(d, count, seed=seed)
     radii = [0.3, 0.72, 0.75, 0.8, 1.0, 1.4, 2.5]
 
@@ -798,6 +892,9 @@ def test_rank_bound_answers_like_the_frozen_scan(monkeypatch, d, count, seed):
 
     got = answers()
     assert any(isinstance(x, tuple) for x in got) and any(isinstance(x, int) for x in got)
+    for budget in TILE_BUDGETS[1:]:
+        monkeypatch.setattr(metric_module, "_BLOCK_ELEMENTS", budget_floats(budget, len(s.ids)))
+        assert got == answers()
     monkeypatch.setattr(metric_module, "_orthogonal_pairs", frozen_orthogonal_pairs)
     assert got == answers()
 
@@ -1196,6 +1293,77 @@ def test_save_sample_writes_the_dump_of_its_space(tmp_path_factory, d, count, se
     with mock.patch.object(TestSpace, "__post_init__", side_effect=AssertionError):
         save_sample(s, path, header=header)
     assert path.read_text() == dump_test_space(s.to_test_space(), header)
+
+
+def test_load_sample_builds_one_space_and_no_rows(tmp_path, monkeypatch):
+    """The space parse_sample builds is the sample's own: its battery reads
+    that space's index and rows, and to_test_space() returns it."""
+    tsp, _ = save_sample(sample_frames(11, 6, seed=2), tmp_path / "s.tsp")
+    built, rows_built = [], []
+    init, index_rows = TestSpace.__post_init__, metric_module._index_rows
+
+    def counting_init(ts):
+        built.append(ts)
+        init(ts)
+
+    def counting_rows(index, tests):
+        rows_built.append(len(tests))
+        return index_rows(index, tests)
+
+    monkeypatch.setattr(TestSpace, "__post_init__", counting_init)
+    monkeypatch.setattr(metric_module, "_index_rows", counting_rows)
+    for _ in range(2):
+        built.clear()
+        loaded = load_sample(tsp)
+        assert loaded.to_test_space() is built[0]
+        assert loaded._index is built[0]._index and loaded._rows is built[0]._rows
+        assert len(built) == 1 and rows_built == []
+
+
+COORD_FAULTS = ["none", "norm", "tilt", "dim 1"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(min_value=2, max_value=11),
+    count=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    fault=st.sampled_from(COORD_FAULTS),
+)
+@example(d=11, count=3, seed=0, fault="none")  # ids not sorted: f….10 before f….2
+def test_load_sample_equals_the_sample_of_its_parts(tmp_path_factory, d, count, seed, fault):
+    """The sample, or the error, that MetricSample gives on the parsed
+    outcomes, coordinates and tests, with one drawn fault in the
+    coordinates; the battery's rows are those it builds itself."""
+    frames = sample_frames(d, count, seed % 1000)
+    coords = frames.coords.copy()
+    k = seed % len(coords)
+    if fault == "norm":
+        coords[k] *= 1.5
+    elif fault == "tilt":
+        coords[k, 0] += 1e-6
+    elif fault == "dim 1":
+        coords = coords[:, :1]
+    path = tmp_path_factory.mktemp("load") / "s.tsp"
+    save_sample(frames, path)
+    (path.parent / "s.coords").write_text("".join(
+        f"outcome {x} {' '.join(map(repr, row))}\n" for x, row in zip(frames.ids, coords.tolist())
+    ))
+    ts, pts = metric_module.parse_sample(path.read_text(), (path.parent / "s.coords").read_text())
+    args = (ts.outcomes, pts, ts.tests, frames.ortho_tol)
+    assert metric_module._battery(*args, ts) == metric_module._battery(*args)
+    try:
+        want = MetricSample(*args)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            load_sample(path)
+        assert str(got.value) == str(exc) and fault != "none"
+        return
+    loaded = load_sample(path)
+    assert loaded.ids == want.ids and loaded.tests == want.tests
+    assert np.array_equal(loaded.coords, want.coords)
+    assert loaded._rows == want._rows and loaded._index == want._index
+    assert loaded.to_test_space() == want.to_test_space()
 
 
 def test_load_sample_reports_missing_coordinates(tmp_path):
