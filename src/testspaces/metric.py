@@ -28,7 +28,6 @@ from .core import (
     _index_rows,
     _lines,
     _space_text,
-    is_event,
     load_test_space,
 )
 
@@ -113,6 +112,29 @@ def _battery(ids, coords, tests, ortho_tol, space: TestSpace | None = None):
 _BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per temporary of a blocked scan
 
 
+def _float32_limit(pts: np.ndarray, thr: float, entries: int):
+    """The float32 bound that every Gram entry of pts with |float64 value|
+    <= thr keeps in float32, or None where a tile of `entries` entries is
+    expected to hold a hit anyway, so that a float32 pass would skip none.
+
+    With u = 2**-24, v = 2**-53, g(n, w) = n*w / (1 - n*w) and R the largest
+    squared norm, rounding the coordinates to float32 moves an inner product
+    by at most (2u + u*u) R, the float32 product by g(d, u)(1 + u)**2 R more
+    and the float64 one by g(d, v) R (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1), in any summation order; the
+    last term covers float32 underflow.  The expected hit count takes the
+    inner product of two random unit vectors as uniform on [-1, 1].
+    """
+    d = pts.shape[1]
+    r = float(np.einsum("ij,ij->i", pts, pts).max())
+    u, v = 2.0**-24, 2.0**-53
+    eps = (2 * u + u * u + d * u / (1 - d * u) * (1 + u) ** 2 + d * v / (1 - d * v)) * r
+    bound = thr + eps + d * 2.0**-148 * (1 + math.sqrt(r))
+    if not (bound * entries < 1 and d * u < 1):
+        return None
+    return np.nextafter(np.float32(bound), np.float32(np.inf))
+
+
 def _orthogonal_pairs(pts: np.ndarray, thr: float):
     """Yield the index pairs (i < j) with |<p_i, p_j>| <= thr in row-major
     order, one array per band of rows of the Gram matrix that holds any.
@@ -123,17 +145,30 @@ def _orthogonal_pairs(pts: np.ndarray, thr: float):
     keep each product a matrix product where a full-width row of a large n
     would be a matrix-vector one.  A band's hits, gathered tile by tile,
     are sorted row-major once.  pts holds at least one point.
+
+    Where a tile is expected to hold fewer than one hit, each tile is first
+    multiplied in float32 (_float32_limit), in the same buffer, and skipped
+    when no entry comes within the limit; a tile that passes is computed in
+    float64 as before, so every hit comes from the float64 product.
     """
     n = len(pts)
     width = min(n, math.isqrt(_BLOCK_ELEMENTS))
     rows = min(n, _BLOCK_ELEMENTS // width)
     # reused: a new tile each step page-faults anew
     buf = np.empty(rows * width)
+    limit = _float32_limit(pts, thr, rows * width)
     for s in range(0, n, rows):
         band = pts[s : s + rows]
+        band32 = None if limit is None else band.astype(np.float32)
         hits = []
         for c in range(s, n, width):
-            g = buf[: len(band) * min(width, n - c)].reshape(len(band), -1)
+            size = len(band) * min(width, n - c)
+            if limit is not None:
+                g = buf.view(np.float32)[:size].reshape(len(band), -1)
+                np.matmul(band32, pts[c : c + width].astype(np.float32).T, out=g)
+                if np.abs(g, out=g).min() > limit:
+                    continue
+            g = buf[:size].reshape(len(band), -1)
             np.matmul(band, pts[c : c + width].T, out=g)
             ii, jj = np.divmod(np.flatnonzero(np.abs(g, out=g) <= thr), g.shape[1])
             ii += s
@@ -174,6 +209,28 @@ class MetricSample:
     @cached_property
     def _test_space(self) -> TestSpace:
         return TestSpace.build(self.ids, self.tests)
+
+    @cached_property
+    def _tests_of(self) -> list[list[int]]:
+        """Each outcome row's ascending test indices, from `_rows`."""
+        out: list[list[int]] = [[] for _ in self.ids]
+        for i, row in enumerate(self._rows):
+            for k in row:
+                out[k].append(i)
+        return out
+
+    def _is_event(self, members) -> bool:
+        """Are the ids inside some test, by their rows?  Only the tests of
+        the member in the fewest are tried; an unknown id is in none, and
+        the empty set is in every test."""
+        try:
+            rows = {self._index[x] for x in members}
+        except KeyError:
+            return False
+        if not rows:
+            return True
+        fewest = min((self._tests_of[k] for k in rows), key=len)
+        return any(rows.issubset(self._rows[i]) for i in fewest)
 
     @property
     def dim(self) -> int:
@@ -302,6 +359,7 @@ def dump_basis(basis) -> str:
 # longer one pairwise in 8 lanes; summing coordinate columns in order
 # reproduces the first case bit for bit.
 _COLUMN_DIMS = 7
+_ONE_BLOCK_FLOATS = 512  # where the column loop's fixed cost outweighs the stacked form's
 
 
 def _diff_floats(a: np.ndarray) -> int:
@@ -320,8 +378,15 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dimensions a block sums the squared coordinate differences column by
     column, which is fastest when a's columns are contiguous; above it the
     differences are stacked along a last axis and reduced as np.linalg.norm
-    reduces them.
+    reduces them.  A difference of at most _ONE_BLOCK_FLOATS floats is
+    stacked and reduced in one step at any dimension: over up to
+    _COLUMN_DIMS terms numpy's reduction sums in order, as the columns do,
+    and on a few points its three ufunc calls beat the column loop's 3d.
     """
+    if len(a) * len(b) * a.shape[1] <= _ONE_BLOCK_FLOATS:
+        d = np.subtract(a[None, :, :], b[:, None, :], order="C")
+        np.multiply(d, d, out=d)
+        return np.add.reduce(d, axis=2)
     stacked = a.shape[1] > _COLUMN_DIMS
     rows = max(1, _BLOCK_ELEMENTS // max(_diff_floats(a), 1))
     total = np.empty((len(b), len(a)))
@@ -343,9 +408,10 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _point_sets(a, b, empty: str | None = None, unequal: str | None = None):
-    """a and b as 2-D float arrays of finite points of one dimension, else
-    ValidationError; before the dimension check, `empty` refuses a set with
-    no points and `unequal` sets of two sizes (formatted with them)."""
+    """a and b as 2-D float arrays of finite points of one dimension, at
+    least 1, else ValidationError; before the dimension checks, `empty`
+    refuses a set with no points and `unequal` sets of two sizes (formatted
+    with them)."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.ndim != 2 or b.ndim != 2:
@@ -356,6 +422,8 @@ def _point_sets(a, b, empty: str | None = None, unequal: str | None = None):
         raise ValidationError(unequal.format(len(a), len(b)))
     if a.shape[1] != b.shape[1]:
         raise ValidationError(f"point dimensions differ: {a.shape[1]} and {b.shape[1]}")
+    if a.shape[1] == 0:
+        raise ValidationError("points need at least one coordinate")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValidationError("point coordinates must be finite")
     return a, b
@@ -398,15 +466,96 @@ def _hausdorff(dist: np.ndarray) -> float:
     return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
+_CELL_POINTS = 8  # points of the searched set per grid cell, on average
+
+
+def _cell_bounds(rows: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """For each point of rows an upper bound on its least squared distance
+    to pts: the least over at most 2 * _CELL_POINTS points of pts that share
+    its grid cell, or over one nearby point where its cell holds none.
+
+    The grid is uniform over the bounding box of pts in its first min(d, 3)
+    coordinates, with about _CELL_POINTS points of pts per cell; pts is
+    sorted by cell, and each row finds its cell's run by binary search.
+    Each distance is summed coordinate by coordinate as the column kernel
+    of _squared_distances sums it, so it equals that kernel's entry and
+    the bound is one of the distances it computes.  The work goes in
+    chunks of rows whose temporaries share _BLOCK_ELEMENTS.
+    """
+    g = min(pts.shape[1], 3)
+    k = max(1, round((len(pts) / _CELL_POINTS) ** (1 / g)))
+    lo = pts[:, :g].min(axis=0)
+    span = pts[:, :g].max(axis=0) - lo
+    scale = np.divide(k, span, out=np.zeros(g), where=span > 0)
+    place = k ** np.arange(g)
+
+    def cells(x):
+        return np.clip((x[:, :g] - lo) * scale, 0, k - 1).astype(np.intp) @ place
+
+    cell = cells(pts)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    by_cell = np.asfortranarray(pts[order])
+    probes = np.arange(2 * _CELL_POINTS)
+    # four chunk x probes temporaries (positions, gathered coordinates,
+    # difference, sum) take at most half the budget
+    chunk = max(1, _BLOCK_ELEMENTS // (8 * len(probes)))
+    bound = np.empty(len(rows))
+    for s in range(0, len(rows), chunk):
+        part = rows[s : s + chunk]
+        mine = cells(part)
+        first = np.searchsorted(cell, mine, "left")
+        last = np.maximum(np.searchsorted(cell, mine, "right") - 1, 0)
+        # past a cell's last point a probe repeats it; an empty cell's
+        # probes all read the point before it, or the first point
+        pos = np.minimum(first[:, None] + probes, last[:, None])
+        acc = np.subtract(by_cell[:, 0][pos], part[:, 0, None])
+        acc *= acc
+        for j in range(1, pts.shape[1]):
+            diff = np.subtract(by_cell[:, j][pos], part[:, j, None])
+            diff *= diff
+            acc += diff
+        acc.min(axis=1, out=bound[s : s + chunk])
+    return bound
+
+
+def _farthest_nearest(rows: np.ndarray, pts: np.ndarray, best: float) -> float:
+    """max(best, the largest least squared distance from a point of rows to
+    pts), for d <= _COLUMN_DIMS.
+
+    Rows go through the exact kernel in blocks, largest cell bound first;
+    once a bound is at most the running maximum, neither its row nor any
+    later one can raise it, and the scan stops.  The result is the maximum
+    of kernel entries that the full scan also computes, so it equals the
+    full scan's to the bit."""
+    bound = _cell_bounds(rows, pts)
+    order = np.argsort(-bound, kind="stable")
+    bound = bound[order]
+    pts = np.asfortranarray(pts)  # the kernel reads pts column by column
+    step = max(1, _BLOCK_ELEMENTS // (len(pts) + _diff_floats(pts)))
+    s = 0
+    while s < len(order) and bound[s] > best:
+        live = order[s : s + step][bound[s : s + step] > best]
+        best = max(best, float(_squared_distances(pts, rows[live]).min(axis=1).max()))
+        s += len(live)
+    return best
+
+
 def hausdorff_distance(a, b) -> float:
     """_hausdorff(pairwise_distances(a, b)), from the least squared distances
     of each row block of b, without holding the whole matrix; a block of
     distances and the kernel's difference buffer fit _BLOCK_ELEMENTS
-    together."""
+    together.
+
+    Where that takes more than one block and d <= _COLUMN_DIMS, each
+    direction scans only the rows whose grid-cell bound exceeds the
+    largest least distance found so far (_farthest_nearest)."""
     a, b = _point_sets(a, b, empty="hausdorff distance needs nonempty point sets")
-    if a.shape[1] <= _COLUMN_DIMS:
-        a = np.asfortranarray(a)  # the kernel reads a column by column
     rows = max(1, _BLOCK_ELEMENTS // (len(a) + _diff_floats(a)))
+    if a.shape[1] <= _COLUMN_DIMS:
+        if len(b) > rows:
+            return math.sqrt(_farthest_nearest(b, a, _farthest_nearest(a, b, -math.inf)))
+        a = np.asfortranarray(a)  # the kernel reads a column by column
     to_b = np.full(len(a), np.inf)  # from each point of a to b
     to_a = np.empty(len(b))  # from each point of b to a
     for s in range(0, len(b), rows):
@@ -422,24 +571,31 @@ def _augment(adj: np.ndarray, row_of: np.ndarray, col_of: np.ndarray) -> bool:
     square boolean adjacency; False when some row has no augmenting path.
 
     Each free row in turn is matched along an augmenting path that a
-    breadth-first search finds; nothing recurses.  Augmenting keeps every
-    matched row matched, so on failure the matching holds every row matched
-    so far, and it stays a matching of any graph with more edges.
+    breadth-first search finds a layer at a time: the columns that the
+    frontier's rows reach first, then the rows matched to them; a free
+    column adjacent to the root itself is taken before any layer is built.
+    Nothing recurses.  Augmenting keeps every matched row matched, so on
+    failure the matching holds every row matched so far, and it stays a
+    matching of any graph with more edges.
     """
     n = len(adj)
     for root in np.flatnonzero(col_of < 0):
+        free = np.flatnonzero(adj[root] & (row_of < 0))
+        if free.size:
+            row_of[free[0]], col_of[root] = root, free[0]
+            continue
         via = np.full(n, -1)  # the row each column was reached from
-        queue, end = [root], -1
-        for u in queue:  # the queue grows while it is walked
-            cols = np.flatnonzero(adj[u] & (via < 0))
-            via[cols] = u
+        frontier, end = np.array([root]), -1
+        while end < 0:
+            reach = adj[frontier] & (via < 0)
+            cols = np.flatnonzero(reach.any(axis=0))
+            if not cols.size:
+                return False
+            via[cols] = frontier[reach[:, cols].argmax(axis=0)]
             free = cols[row_of[cols] < 0]
             if free.size:
                 end = int(free[0])
-                break
-            queue.extend(row_of[cols].tolist())
-        if end < 0:
-            return False
+            frontier = row_of[cols]
         while end >= 0:  # flip the path back to the root
             u = via[end]
             row_of[end], col_of[u], end = u, end, col_of[u]
@@ -542,29 +698,34 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     When the Hausdorff distance is below half the smaller internal
     separation, the check requires equal cardinalities and exact agreement
     of matching and Hausdorff distances; otherwise it holds vacuously.
-    Both arguments must be nonempty events of the sample.  Both separations
-    and the cross distances are read from one matrix of squared distances
-    over the points of a followed by those of b, whose diagonal is set to
-    infinity; each answer takes its square root once.
+    Both arguments must be nonempty events of the sample, decided on the
+    sample's own index and rows.  Both separations and the cross distances
+    are read from one matrix of squared distances over the points of a
+    followed by those of b, whose diagonal is set to infinity, reduced once
+    to each row's least entry among a's points and among b's; each answer
+    takes its square root once.
     """
     ma, mb = frozenset(a), frozenset(b)
     for m in (ma, mb):
-        if not is_event(sample.to_test_space(), m):
+        if not sample._is_event(m):
             raise ValidationError(f"{sorted(m)} is not an event of the sample")
     if not (ma and mb):
         raise ValidationError("the local-constancy check needs nonempty events")
     k = len(ma)
-    pts = sample.coords[[sample._index[x] for m in (ma, mb) for x in m]]
+    pts = sample.coords.take([sample._index[x] for m in (ma, mb) for x in m], axis=0)
     full = _squared_distances(pts, pts)
-    np.fill_diagonal(full, np.inf)  # a one-point event is infinitely separated
-    cross = full[:k, k:]
-    d_h = math.sqrt(max(cross.min(axis=1).max(), cross.min(axis=0).max()))
-    guard = 0.5 * math.sqrt(min(full[:k, :k].min(), full[k:, k:].min()))
+    full.flat[:: len(full) + 1] = np.inf  # a one-point event is infinitely separated
+    # each row's least entry among a's columns and among b's
+    near = np.minimum.reduceat(full, [0, k], axis=1).tolist()
+    own_a, cross_a = zip(*near[:k])
+    cross_b, own_b = zip(*near[k:])
+    d_h = math.sqrt(max(cross_a + cross_b))
+    guard = 0.5 * math.sqrt(min(own_a + own_b))
     if not d_h < guard:
         return True
     if len(ma) != len(mb):
         return False
-    return _bottleneck(np.sqrt(cross)) == d_h
+    return _bottleneck(np.sqrt(full[:k, k:])) == d_h
 
 
 MAX_FRAME_COUNT = 10**6  # keeps generated ids at a fixed width

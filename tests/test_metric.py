@@ -175,6 +175,21 @@ def test_point_set_refusals_keep_their_order():
         pairwise_distances(np.zeros((1, 1, 3)), [E1])
 
 
+def test_zero_dimensional_points_are_refused():
+    """Points with no coordinate are refused before any distance is taken,
+    by pairwise_distances where the kernel raised a bare IndexError, and by
+    the two set distances, whose empty-set check meets them first."""
+    a, b = np.zeros((3, 0)), np.zeros((2, 0))
+    with pytest.raises(ValidationError, match="^points need at least one coordinate$"):
+        pairwise_distances(a, b)
+    with pytest.raises(ValidationError, match="^hausdorff distance needs nonempty point sets$"):
+        hausdorff_distance(a, b)
+    with pytest.raises(ValidationError, match="^matching distance needs nonempty point sets$"):
+        matching_distance(a, a)
+    with pytest.raises(ValidationError, match="^points need at least one coordinate$"):
+        sum_map_lipschitz(lambda p: 0.0, 1.0, a, a)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_points_are_refused(bad):
     a = np.eye(3)[:2]
@@ -281,6 +296,17 @@ def test_matching_of_large_near_identical_sets():
 
 def test_matching_of_large_independent_sets():
     a, b = seeded_points(7, 1500), seeded_points(8, 1500)
+    checked_matching(a, b)
+
+
+@pytest.mark.parametrize("kind", ["near-identical", "independent"])
+def test_matching_of_3000_points(kind):
+    """Twice the size above, with a 72 MB distance matrix: the answer is
+    an entry of it and at least the Hausdorff distance."""
+    a, b = seeded_points(17, 3000), seeded_points(18, 3000)
+    if kind == "near-identical":
+        b = a + 1e-6 * b
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
     checked_matching(a, b)
 
 
@@ -433,6 +459,60 @@ def test_hausdorff_equals_the_frozen_row_blocks(d, n, m, layout_a, layout_b, bud
         got = hausdorff_distance(a, b)
     assert got == want
     assert got == metric_module._hausdorff(pairwise_distances(a, b))
+
+
+def hausdorff_worst_case(case: str) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(sum(map(ord, case)))
+    if case == "one cell":  # every point one of three, 1e-12 apart
+        pool = E1 + 1e-12 * rng.standard_normal((3, 3))
+        return pool[rng.integers(0, 3, 2500)], pool[rng.integers(0, 3, 2000)]
+    if case == "one point":  # a bounding box of no extent
+        return np.tile(E2, (2000, 1)), np.tile(E2, (1500, 1))
+    if case == "two clusters":  # far apart, split unevenly between the sets
+        def clusters(n, share):
+            pts = 1e-2 * rng.standard_normal((n, 3))
+            pts[: int(share * n), 0] += 1e3
+            return pts
+        return clusters(2000, 0.9), clusters(1800, 0.1)
+    if case in ("1 x 5000", "5000 x 1"):
+        one, many = seeded_points(1, 1, 3), seeded_points(2, 5000, 3)
+        return (one, many) if case == "1 x 5000" else (many, one)
+    if case in ("scale 1e3", "scale 1e-3"):
+        scale = 1e3 if case == "scale 1e3" else 1e-3
+        return scale * seeded_points(3, 2000, 3), scale * seeded_points(4, 1900, 3)
+    d = int(case.split()[1])
+    return rng.standard_normal((2000, d)), rng.standard_normal((1700, d))
+
+
+HAUSDORFF_WORST_CASES = [
+    "one cell", "one point", "two clusters", "1 x 5000", "5000 x 1", "scale 1e3",
+    "scale 1e-3", "d 1", "d 2", "d 3", "d 7", "d 8", "d 11",
+]
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+@pytest.mark.parametrize("case", HAUSDORFF_WORST_CASES)
+def test_hausdorff_worst_cases_equal_the_frozen_row_blocks(case, budget):
+    """Inputs where the cell grid bounds badly or not at all, both ways
+    round; a budget of 64 floats takes the 1 x 5000 sets past one block."""
+    a, b = hausdorff_worst_case(case)
+    want = frozen_hausdorff(a, b), frozen_hausdorff(b, a)
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(metric_module, "_BLOCK_ELEMENTS", budget)
+        got = hausdorff_distance(a, b), hausdorff_distance(b, a)
+    assert got == want
+
+
+def test_hausdorff_scans_few_rows_exactly():
+    """On 2000 x 2000 sphere points the exact kernel reads fewer than a
+    quarter of the rows of both directions: a work count, not a time."""
+    a, b = seeded_points(3, 2000), seeded_points(4, 2000)
+    want = frozen_hausdorff(a, b)
+    kernel = metric_module._squared_distances
+    with mock.patch.object(metric_module, "_squared_distances", wraps=kernel) as counted:
+        assert hausdorff_distance(a, b) == want
+    assert sum(len(call.args[1]) for call in counted.call_args_list) < (len(a) + len(b)) / 4
 
 
 def test_hausdorff_agrees_with_oracle():
@@ -839,6 +919,50 @@ def test_orthogonal_pairs_equal_the_frozen_scan_in_many_tiles(budget, d, frames,
     assert got.shape == want.shape and (got == want).all()
 
 
+def threshold_edge_points(d: int, thr: float, seed: int) -> np.ndarray:
+    """Pairs (x, y), y = normalize(x_perp + t x), whose inner products step
+    across thr in the last bits of a sum of d products, then points whose
+    float32 images are subnormal (or flush to 0) in one coordinate."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    for step in range(-20, 21):
+        x = rng.standard_normal(d)
+        x /= np.linalg.norm(x)
+        perp = rng.standard_normal(d)
+        perp -= (perp @ x) * x
+        perp /= np.linalg.norm(perp)
+        t = thr + step * 2.0**-56
+        y = math.sqrt(1.0 - t * t) * perp + t * x
+        pts += [x, y / np.linalg.norm(y)]
+    tiny = np.zeros((5, d))
+    tiny[:, 0] = 1.0
+    tiny[:, 1] = [1e-40, -3e-42, 1e-45, 2e-39, 1e-50]
+    tiny[:, -1] -= [0.0, 0.0, 0.0, 0.0, 1e-45]
+    return np.vstack(pts + [tiny / np.linalg.norm(tiny, axis=1, keepdims=True)])
+
+
+@pytest.mark.parametrize("budget", TILE_BUDGETS)
+@pytest.mark.parametrize("thr", [math.sin(1e-9), 1e-4, 0.3])
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 11])
+def test_orthogonal_pairs_at_the_threshold_edge_equal_the_frozen_scan(d, thr, budget):
+    """Every hit comes from the float64 product: pairs just inside thr are
+    found and pairs just outside are not, whichever tiles the float32 pass
+    skips, at every tile budget."""
+    pts = threshold_edge_points(d, thr, seed=d)
+    want = concat_pairs(frozen_orthogonal_pairs(pts, thr))
+    constructed = {(i, i + 1) for i in range(0, 82, 2)}
+    inside = constructed & set(map(tuple, want.tolist()))
+    assert inside and inside != constructed  # the pairs straddle thr
+    if thr < 0.3:  # at the default budget the tile is the whole 87 x 87 matrix
+        assert metric_module._float32_limit(pts, thr, len(pts) ** 2) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(metric_module, "_BLOCK_ELEMENTS", budget_floats(budget, len(pts)))
+        got = concat_pairs(metric_module._orthogonal_pairs(pts, thr))
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape and (got == want).all()
+
+
 # -------------------------------------------------------------- rank bound
 
 
@@ -1031,6 +1155,16 @@ def test_cardinality_constancy_rejects_non_events():
     s = two_frame_sample(0.01)
     with pytest.raises(ValidationError):
         event_cardinality_locally_constant(s, {"a", "d"}, {"b"})
+
+
+def test_cardinality_constancy_builds_no_test_space(monkeypatch):
+    """Events are decided on the sample's own index and rows."""
+    s = sample_frames(3, 40, seed=9)
+    monkeypatch.setattr(TestSpace, "__post_init__", mock.Mock(side_effect=AssertionError))
+    tests = [sorted(t) for t in s.tests]
+    assert all(event_cardinality_locally_constant(s, a, b) for a, b in zip(tests, tests[1:]))
+    with pytest.raises(ValidationError, match="is not an event of the sample"):
+        event_cardinality_locally_constant(s, tests[0][:1] + tests[1][:1], tests[2])
 
 
 @settings(max_examples=40, deadline=None)
