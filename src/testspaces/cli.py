@@ -75,11 +75,9 @@ def _fmt(value) -> str:
 
 
 def _emit(rows, fmt: str) -> None:
-    for key, value in rows:
-        if fmt == "machine":
-            print(f"{key}\t{_fmt(value)}")
-        else:
-            print(f"{key}: {_fmt(value)}")
+    """The report, one `key: value` (or tab-separated) line a row, in one write."""
+    sep = "\t" if fmt == "machine" else ": "
+    sys.stdout.write("".join([f"{key}{sep}{_fmt(value)}\n" for key, value in rows]))
 
 
 def _read(path: str) -> str:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
+import numpy as np
+
 DEFAULT_EVENT_CAP = 1 << 20  # bound on sum of 2**len(test) before enumerating
 DENSE_TABLE_CAP = 4096  # most elements of a logic or sum table, stored as a dense n-by-n table
 
@@ -73,6 +75,36 @@ def _lines(text: str):
             yield lineno, line, toks[0], toks[1:]
 
 
+_GRID_LINES = 128  # lines lexed at a time by the one-pass readers
+# the fewest tests (or lines) for the array checks and the one-pass reads:
+# below about 30 their fixed numpy and join costs lose to the per-item passes
+_BULK_MIN = 32
+
+
+def _grid(lines: list[str], key: str, size: int):
+    """Yield the tokens after `key` of each _GRID_LINES lines, as one flat
+    list a block, where every line is `key` and `size` more tokens joined by
+    single spaces, with no `#`: `_lines` lexes such lines to this directive
+    and these very tokens, so a reader may take them in one pass.  At the
+    first block of any other shape yield None and stop; the per-line
+    parsers read such text."""
+    width = size + 1
+    for s in range(0, len(lines), _GRID_LINES):
+        block = lines[s : s + _GRID_LINES]
+        body = "\n".join(block)
+        tokens = body.split()
+        if (
+            len(tokens) != width * len(block)
+            or "#" in body
+            or tokens[::width].count(key) != len(block)
+            or "\n".join(map(" ".join, zip(*[iter(tokens)] * width))) != body
+        ):
+            yield None
+            return
+        del tokens[::width]
+        yield tokens
+
+
 def _column(line: str, k: int) -> int:
     """The 1-based column of token k of a lexed line (0 is the directive)."""
     return next(itertools.islice(_TOKEN.finditer(line), k, None)).start() + 1
@@ -82,6 +114,45 @@ def _index_rows(index: dict[str, int], tests) -> tuple[tuple[int, ...], ...]:
     """Each test as the indices of its members in name order, for ids in any
     order; a KeyError names an unknown member."""
     return tuple([tuple([index[x] for x in sorted(t)]) for t in tests])
+
+
+def _shared_rows(index: dict[str, int], rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of a 2-D array of the index's positions as tuples of the
+    index's own int objects, so that the tuples hold no ints of their own."""
+    flat = np.array(list(index.values()), dtype=object)[rows.ravel()].tolist()
+    return tuple(zip(*[iter(flat)] * rows.shape[1]))
+
+
+def _repeats(rows: np.ndarray) -> bool:
+    """Do two rows of the 2-D int array hold the same entries in the same
+    order?  Sorted lexicographically, such rows are neighbours."""
+    if not rows.shape[1]:
+        return len(rows) > 1
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
+
+
+def _uniform_rows(index: dict[str, int], tests) -> np.ndarray | None:
+    """The tests as one (tests, size) array of ascending indices, when there
+    are at least _BULK_MIN of them, they share one size, name only ids of
+    the index, are pairwise distinct and cover the index; None otherwise,
+    and the per-test pass decides."""
+    if len(tests) < _BULK_MIN:
+        return None
+    sizes = set(map(len, tests))
+    if len(sizes) != 1 or 0 in sizes:
+        return None
+    size = sizes.pop()
+    try:
+        members = itertools.chain.from_iterable(tests)
+        flat = np.fromiter(map(index.__getitem__, members), np.intp, size * len(tests))
+    except KeyError:
+        return None
+    if np.count_nonzero(np.bincount(flat, minlength=len(index))) != len(index):
+        return None
+    # each test's indices ascending, by one sort of the (test, index) pairs
+    rows = flat[np.lexsort((flat, np.arange(len(flat)) // size))].reshape(-1, size)
+    return None if _repeats(rows) else rows
 
 
 def _tests_containing(ts: TestSpace, m: frozenset[str]):
@@ -108,7 +179,11 @@ class TestSpace:
 
     `_index` maps an outcome to its position; `_rows` holds each test as its
     members' ascending positions, the one member order every layer reads.
-    Both are built by the one pass that checks the tests.
+    Both come from the one pass that checks the tests.  When the tests share
+    one size, that pass runs on one (tests, size) array of the rows, kept as
+    `_row_array` (None for mixed sizes), and `_rows` is read off it on first
+    use; a space it refuses goes through the per-test pass, which names the
+    first fault.
     """
 
     outcomes: tuple[str, ...]
@@ -117,7 +192,7 @@ class TestSpace:
     def __post_init__(self):
         if not self.outcomes:
             raise ValidationError("a test space needs at least one outcome")
-        index = {x: k for k, x in enumerate(self.outcomes)}
+        index = dict(zip(self.outcomes, range(len(self.outcomes))))
         if len(index) != len(self.outcomes):
             raise ValidationError("duplicate outcome ids")
         if list(self.outcomes) != sorted(self.outcomes):
@@ -125,6 +200,11 @@ class TestSpace:
         if not self.tests:
             raise ValidationError("a test space needs at least one test")
         # outcomes are sorted, so a row's ascending indices are its name order
+        array = _uniform_rows(index, self.tests)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_row_array", array)
+        if array is not None:
+            return
         first: dict[tuple[int, ...], int] = {}
         for i, test in enumerate(self.tests):
             if not test:
@@ -141,8 +221,13 @@ class TestSpace:
         if len(covered) != len(index):
             uncovered = [x for k, x in enumerate(self.outcomes) if k not in covered]
             raise ValidationError(f"outcomes not covered by any test: {uncovered}")
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", tuple(first))
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of `_row_array`, as tuples of the index's own ints (the
+        per-test pass sets `_rows` itself)."""
+        return _shared_rows(self._index, self._row_array)
 
     @staticmethod
     def build(outcomes: Iterable[str], tests: Iterable[Iterable[str]]) -> "TestSpace":
@@ -351,8 +436,52 @@ def load_test_space(text: str) -> TestSpace:
     """Parse test-space text: one `outcomes` line, then one `test` line per test.
 
     `#` starts a comment anywhere; blank lines are ignored.  Errors carry
-    1-based line/column positions.
+    1-based line/column positions.  A text that `_uniform_space` does not
+    take is read line by line, and only that parser reports errors.
     """
+    ts = _uniform_space(text)
+    return _parse_space_lines(text) if ts is None else ts
+
+
+def _uniform_space(text: str) -> TestSpace | None:
+    """The space of a text in the shape that `dump_test_space` writes: `#`
+    lines first, then one `outcomes` line and `test` lines of one size, each
+    of single-space-separated tokens, at least _BULK_MIN lines after the
+    header (a shorter text is read line by line at once); the lines lex as
+    `_lines` lexes them.
+    None for any other text, and for one that the per-line parser refuses
+    (a repeated id, an unknown or repeated member, a duplicate test) or
+    whose space refuses it, which is left to the per-line parser to report.
+    """
+    if text.count("\n") < _BULK_MIN:
+        return None
+    lines = text.splitlines()
+    h = 0
+    while h < len(lines) and lines[h].startswith("#"):
+        h += 1
+    if h + 1 >= len(lines) or len(lines) - h < _BULK_MIN:
+        return None
+    ids = lines[h].split()[1:]
+    size = len(lines[h + 1].split()) - 1
+    if not ids or size < 1 or len(set(ids)) != len(ids):
+        return None
+    if next(_grid(lines[h : h + 1], "outcomes", len(ids))) is None:
+        return None
+    tests: list[frozenset[str]] = []
+    for members in _grid(lines[h + 1 :], "test", size):
+        if members is None:
+            return None
+        tests += map(frozenset, zip(*[iter(members)] * size))
+    if sum(map(len, tests)) != size * len(tests):  # an id repeated within a test
+        return None
+    try:
+        return TestSpace(tuple(sorted(ids)), tuple(tests))
+    except ValidationError:
+        return None
+
+
+def _parse_space_lines(text: str) -> TestSpace:
+    """load_test_space, one line at a time."""
     outcomes: set[str] | None = None
     tests: list[frozenset[str]] = []
     test_lines: dict[frozenset[str], int] = {}
@@ -409,9 +538,20 @@ def load_test_space(text: str) -> TestSpace:
 
 
 def _space_text(outcomes, ids, rows, header: str | None) -> str:
-    """Header comment lines, the outcomes line, then each row as ids[k]."""
+    """Header comment lines, the outcomes line, then each row as ids[k].
+
+    An outcome id that is empty or holds whitespace or `#` would read back
+    as other ids, so it raises ValidationError; the ids of the rows are
+    among the outcomes."""
+    head = "outcomes " + " ".join(outcomes)
+    if head.split() != ["outcomes", *outcomes] or "#" in head:
+        bad = next(x for x in outcomes if x.split() != [x] or "#" in x)
+        raise ValidationError(
+            f"outcome id {bad!r} cannot be written: an id needs at least one "
+            "character and no whitespace or '#'"
+        )
     lines = [f"# {h}" for h in (header or "").splitlines()]
-    lines.append("outcomes " + " ".join(outcomes))
+    lines.append(head)
     lines += ["test " + " ".join([ids[k] for k in row]) for row in rows]
     return "\n".join(lines) + "\n"
 

@@ -11,7 +11,9 @@ All distances are chordal (Euclidean in the ambient space).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,9 +26,13 @@ from .core import (
     TspError,
     UnknownOutcomeError,
     ValidationError,
+    _BULK_MIN,
+    _GRID_LINES,
     _column,
+    _grid,
     _index_rows,
     _lines,
+    _repeats,
     _space_text,
     load_test_space,
 )
@@ -74,39 +80,70 @@ def _battery(ids, coords, tests, ortho_tol, space: TestSpace | None = None):
     where the battery stopped before building it.  Given the TestSpace of
     ids and tests, it reads that space's index and rows instead of building
     them, and checks them as its own."""
+    known = None if space is None else (space._index, space._rows, space._row_array)
+    return _checks(ids, coords, tests, ortho_tol, known)[:3]
+
+
+def _by_size(rows) -> dict[int, np.ndarray]:
+    """Each test size's rows, in test order, as one (tests, size) int array."""
+    sizes = set(map(len, rows))
+    if len(sizes) == 1:
+        size = sizes.pop()
+        flat = np.fromiter(itertools.chain.from_iterable(rows), np.intp, size * len(rows))
+        return {size: flat.reshape(len(rows), size)}
+    groups = {k: [r for r in rows if len(r) == k] for k in sizes}
+    return {k: np.array(g, dtype=np.intp).reshape(len(g), k) for k, g in groups.items()}
+
+
+def _checks(ids, coords, tests, ortho_tol, known=None):
+    """_battery's rows, index and test rows, then its rows as one int array
+    per test size (None where it stopped before them).  `known` is (index,
+    test rows, their (tests, size) array or None for mixed sizes), read
+    instead of built; the rows are in name order, as `_index_rows` builds
+    them."""
     _check_ortho_tol(ortho_tol)
     rows = []
     n, d = coords.shape if coords.ndim == 2 else (0, 0)
     rows.append(("shape", coords.ndim == 2 and n == len(ids) and d >= 2,
                  f"{len(ids)} ids, coords {coords.shape}"))
     if not rows[-1][1]:
-        return rows, None, None
-    index = {x: i for i, x in enumerate(ids)} if space is None else space._index
+        return rows, None, None, None
+    if known is None:
+        index = {x: i for i, x in enumerate(ids)}
+    else:
+        index, test_rows, array = known
     rows.append(("distinct-ids", len(index) == len(ids), f"{len(ids)} ids"))
     norms = np.linalg.norm(coords, axis=1)
     dev = float(np.abs(norms - 1.0).max()) if n else 0.0
     rows.append(("unit-norm", dev <= UNIT_NORM_TOL, f"max deviation {dev:.3e}"))
-    try:
-        test_rows = _index_rows(index, tests) if space is None else space._rows
-    except KeyError:
-        rows.append(("test-ids-known", False, ""))
-        return rows, index, None
+    if known is None:
+        try:
+            test_rows = _index_rows(index, tests)
+        except KeyError:
+            rows.append(("test-ids-known", False, ""))
+            return rows, index, None, None
+        array = None
     rows.append(("test-ids-known", True, ""))
-    size = max(map(len, test_rows), default=0)
-    rows.append(("tests-nonempty", bool(test_rows) and all(test_rows), f"{len(tests)} tests"))
+    by_size = _by_size(test_rows) if array is None else {array.shape[1]: array}
+    size = max(by_size, default=0)
+    rows.append(("tests-nonempty", bool(tests) and 0 not in by_size, f"{len(tests)} tests"))
     rows.append(("test-size", size <= d, f"max {size} <= dim {d}"))
-    rows.append(("tests-distinct", len(set(test_rows)) == len(test_rows), ""))
-    uncovered = len(index) - len(set().union(*test_rows))
+    rows.append(("tests-distinct", not any(map(_repeats, by_size.values())), ""))
+    covered = np.zeros(len(ids), dtype=bool)
+    for part in by_size.values():
+        covered[part] = True
+    uncovered = len(index) - np.count_nonzero(covered)
     rows.append(("covering", not uncovered, f"{uncovered} uncovered"))
     thr = math.sin(ortho_tol)
     worst = 0.0
-    for k in {len(r) for r in test_rows if len(r) > 1}:  # one batch per test size
-        pts = coords[np.array([r for r in test_rows if len(r) == k])]
-        g = pts @ pts.transpose(0, 2, 1)
-        worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
+    for k, part in by_size.items():  # one batch per test size
+        if k > 1:
+            pts = coords[part]
+            g = pts @ pts.transpose(0, 2, 1)
+            worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
     rows.append(("in-test-orthogonality", worst <= thr,
                  f"max |inner| {worst:.3e} vs {thr:.3e}"))
-    return rows, index, test_rows
+    return rows, index, test_rows, by_size
 
 
 _BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per temporary of a blocked scan
@@ -187,8 +224,9 @@ class MetricSample:
     """Outcome ids with unit-vector coordinates and near-orthogonal tests.
 
     `_index` maps an id to its coordinate row and `_rows` holds each test as
-    its members' rows in name order; both are the invariant battery's own,
-    kept from construction.
+    its members' rows in name order; `_row_array` holds those rows as one
+    (tests, size) int array when the tests share one size, else None.  All
+    three are the invariant battery's own, kept from construction.
     """
 
     ids: tuple[str, ...]
@@ -198,13 +236,17 @@ class MetricSample:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", np.ascontiguousarray(self.coords, dtype=float))
-        space = self.__dict__.get("_test_space")  # set by _parsed_sample
-        rows, index, test_rows = _battery(self.ids, self.coords, self.tests, self.ortho_tol, space)
+        known = self.__dict__.pop("_known", None)  # set by _known_sample
+        rows, index, test_rows, by_size = _checks(
+            self.ids, self.coords, self.tests, self.ortho_tol, known
+        )
         for name, ok, detail in rows:
             if not ok:
                 raise ValidationError(f"sample invariant {name} fails: {detail}")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_rows", test_rows)
+        array = next(iter(by_size.values())) if len(by_size) == 1 else None
+        object.__setattr__(self, "_row_array", array)
 
     @cached_property
     def _test_space(self) -> TestSpace:
@@ -732,6 +774,19 @@ MAX_FRAME_COUNT = 10**6  # keeps generated ids at a fixed width
 MAX_FRAME_FLOATS = 2**25  # count * d * d, about 270 MB for one copy of the frames
 
 
+def _frame_vectors(d: int, count: int, seed: int) -> np.ndarray:
+    """The unit vectors of sample_frames, frame after frame."""
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((count, d, d))
+    q, r = np.linalg.qr(mats)
+    diag = np.einsum("kii->ki", r)
+    q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
+    dets = np.linalg.det(q)
+    q[dets < 0, :, -1] *= -1.0
+    pts = np.transpose(q, (0, 2, 1)).reshape(count * d, d)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
 def sample_frames(d: int, count: int, seed: int) -> MetricSample:
     """Seeded orthonormal frames: rotations applied to the standard basis.
 
@@ -749,23 +804,18 @@ def sample_frames(d: int, count: int, seed: int) -> MetricSample:
             f"{count} frames of dimension {d} need {count * d * d} floats, "
             f"over the budget of {MAX_FRAME_FLOATS}"
         )
-    rng = np.random.default_rng(seed)
-    mats = rng.standard_normal((count, d, d))
-    q, r = np.linalg.qr(mats)
-    diag = np.einsum("kii->ki", r)
-    q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
-    dets = np.linalg.det(q)
-    q[dets < 0, :, -1] *= -1.0
-    pts = np.transpose(q, (0, 2, 1)).reshape(count * d, d)
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = _frame_vectors(d, count, seed)  # its temporaries are gone before the ids are built
     width = len(str(MAX_FRAME_COUNT - 1))
-    ids = tuple(
-        f"f{k:0{width}d}.{i}" for k in range(count) for i in range(d)
-    )
-    tests = tuple(
-        frozenset(ids[k * d : (k + 1) * d]) for k in range(count)
-    )
-    return MetricSample(ids, pts, tests)
+    digits = [str(i) for i in range(d)]
+    ids = tuple([p + i for p in [f"f{k:0{width}d}." for k in range(count)] for i in digits])
+    tests = tuple(map(frozenset, zip(*[iter(ids)] * d)))
+    # a frame's name order is the order of its suffixes: f….10 before f….2
+    order = sorted(range(d), key=digits.__getitem__)
+    rows = np.arange(count * d).reshape(count, d)[:, order]
+    ints = list(range(count * d))  # the index's ints, shared by the row tuples
+    by_name = operator.itemgetter(*order)
+    known = (dict(zip(ids, ints)), tuple(map(by_name, zip(*[iter(ints)] * d))), rows)
+    return _known_sample(ids, pts, tests, DEFAULT_ORTHO_TOL, known)
 
 
 def closure_check(
@@ -827,23 +877,69 @@ def sidecar_path(tsp_path: str) -> str:
     return base + ".coords"
 
 
+_WRITE_ROWS = 1024  # coordinate lines formatted and written at a time
+_COORD_LINE = "outcome {} {}\n"
+
+
 def save_sample(sample: MetricSample, tsp_path, coords_path=None, header: str | None = None):
     """Write the combinatorial file, from the sample's own rows, plus the
-    coordinate sidecar; returns paths."""
+    coordinate sidecar, in blocks of lines; returns paths.  Ids that cannot
+    be written (see `_space_text`) raise before either file is opened."""
     tsp_path = os.fspath(tsp_path)
     if coords_path is None:
         coords_path = sidecar_path(tsp_path)
+    text = _space_text(sorted(sample.ids), sample.ids, sample._rows, header)
     with open(tsp_path, "w") as fh:
-        fh.write(_space_text(sorted(sample.ids), sample.ids, sample._rows, header))
+        fh.write(text)
     with open(coords_path, "w") as fh:
-        for x, row in zip(sample.ids, sample.coords.tolist()):
-            coords = " ".join(map(repr, row))
-            fh.write(f"outcome {x} {coords}\n")
+        for s in range(0, len(sample.ids), _WRITE_ROWS):
+            block = sample.coords[s : s + _WRITE_ROWS]
+            columns = [map(repr, block[:, j].tolist()) for j in range(block.shape[1])]
+            coords = map(" ".join, zip(*columns))
+            fh.write("".join(map(_COORD_LINE.format, sample.ids[s : s + _WRITE_ROWS], coords)))
     return tsp_path, coords_path
+
+
+def _coords_grid(text: str) -> tuple[list[str], np.ndarray] | None:
+    """(ids, points) of sidecar text of at least _BULK_MIN line ends whose
+    lines are all `outcome <id> <c1> ... <cd>` with single spaces
+    (core._grid), with distinct ids and coordinates that `float` reads,
+    each column of a block of lines read in one pass; None for any other
+    text, which the per-line parser reads and, if it must, refuses."""
+    if text.count("\n") < _BULK_MIN:
+        return None
+    lines = text.splitlines()
+    size = len(lines[0].split()) - 1
+    if size < 2:
+        return None
+    ids: list[str] = []
+    points = np.empty((len(lines), size - 1))
+    for b, tokens in enumerate(_grid(lines, "outcome", size)):
+        if tokens is None:
+            return None
+        ids += tokens[::size]
+        block = points[b * _GRID_LINES : (b + 1) * _GRID_LINES]
+        try:
+            for j in range(1, size):
+                block[:, j - 1] = np.fromiter(map(float, tokens[j::size]), float, len(block))
+        except ValueError:
+            return None
+    if len(set(ids)) != len(ids):
+        return None
+    return ids, points
 
 
 def parse_coords(text: str) -> dict[str, tuple[float, ...]]:
     """Parse sidecar lines `outcome <id> <c1> ... <cd>`."""
+    grid = _coords_grid(text)
+    if grid is None:
+        return _parse_coord_lines(text)
+    ids, points = grid
+    return dict(zip(ids, zip(*points.T.tolist())))
+
+
+def _parse_coord_lines(text: str) -> dict[str, tuple[float, ...]]:
+    """parse_coords, one line at a time: the only reporter of its errors."""
     out: dict[str, tuple[float, ...]] = {}
     dim = None
     for lineno, line, key, toks in _lines(text):
@@ -870,9 +966,22 @@ def parse_coords(text: str) -> dict[str, tuple[float, ...]]:
 def parse_sample(tsp_text: str, coords_text: str) -> tuple[TestSpace, np.ndarray]:
     """Parse a space and its sidecar; coordinate rows follow the outcome order.
 
-    Every outcome needs coordinates, and every coordinate line a known outcome.
+    Every outcome needs coordinates, and every coordinate line a known
+    outcome.  Where the sidecar reads in one pass and names each outcome
+    once, its rows are placed through the space's index in one step.
     """
     ts = load_test_space(tsp_text)
+    grid = _coords_grid(coords_text)
+    if grid is not None and len(grid[0]) == len(ts.outcomes):
+        ids, points = grid
+        try:
+            at = np.fromiter(map(ts._index.__getitem__, ids), np.intp, len(ids))
+        except KeyError:
+            pass
+        else:
+            out = np.empty_like(points)
+            out[at] = points
+            return ts, out
     coords = parse_coords(coords_text)
     missing = [x for x in ts.outcomes if x not in coords]
     if missing:
@@ -895,11 +1004,22 @@ def load_sample(tsp_path, coords_path=None, ortho_tol: float = DEFAULT_ORTHO_TOL
     return _parsed_sample(*parse_sample(tsp_text, coords_text), ortho_tol)
 
 
+def _known_sample(ids, coords, tests, ortho_tol, known, space: TestSpace | None = None):
+    """MetricSample(ids, coords, tests, ortho_tol), whose battery reads the
+    index, rows and row array in `known` (see `_checks`) instead of building
+    them, and checks them as its own; a given space of the ids and tests is
+    kept as the sample's to_test_space()."""
+    sample = object.__new__(MetricSample)
+    sample.__dict__["_known"] = known
+    if space is not None:
+        sample.__dict__["_test_space"] = space  # where the cached property keeps it
+    sample.__init__(ids, coords, tests, ortho_tol)
+    return sample
+
+
 def _parsed_sample(ts: TestSpace, coords: np.ndarray, ortho_tol: float) -> MetricSample:
     """MetricSample(ts.outcomes, coords, ts.tests, ortho_tol) on the parsed
     space: its battery reads the space's index and rows, and the space stays
     the sample's to_test_space()."""
-    sample = object.__new__(MetricSample)
-    sample.__dict__["_test_space"] = ts  # where the cached property keeps it
-    sample.__init__(ts.outcomes, coords, ts.tests, ortho_tol)
-    return sample
+    known = (ts._index, ts._rows, ts._row_array)
+    return _known_sample(ts.outcomes, coords, ts.tests, ortho_tol, known, ts)

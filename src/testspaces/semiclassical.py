@@ -160,10 +160,11 @@ class ExtractionResult:
 
 def _frame_points(sample: MetricSample) -> np.ndarray:
     """Sample coordinates grouped by test, shape (tests, size, dim); each
-    test's points in the order of its row."""
-    if len({len(t) for t in sample.tests}) != 1:
+    test's points in the order of its row, read through the sample's row
+    array."""
+    if sample._row_array is None:
         raise ValidationError("extraction needs tests of one common size")
-    return sample.coords[np.array(sample._rows, dtype=np.intp)]
+    return sample.coords[sample._row_array]
 
 
 def _slots(sample: MetricSample) -> np.ndarray:

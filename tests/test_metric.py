@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from testspaces import metric as metric_module
-from testspaces.core import TestSpace, UnknownOutcomeError, ValidationError, dump_test_space
+from testspaces.core import (
+    TestSpace,
+    UnknownOutcomeError,
+    ValidationError,
+    _index_rows,
+    dump_test_space,
+)
 from testspaces.metric import (
     ConvergenceError,
     MetricSample,
@@ -1282,13 +1289,24 @@ def test_locally_constant_equals_the_frozen_check(d, frames, eps, seed):
 
 
 def test_sample_frames_reproducible_prefix():
-    small = sample_frames(3, 10, seed=9)
-    large = sample_frames(3, 20, seed=9)
-    assert small.ids == large.ids[:30]
-    assert np.array_equal(small.coords, large.coords[:30])
-    again = sample_frames(3, 10, seed=9)
-    assert np.array_equal(small.coords, again.coords)
-    assert not np.array_equal(small.coords, sample_frames(3, 10, seed=10).coords)
+    """From d = 11 on a frame's name order (f….10 before f….2) differs
+    from its slot order; the bulk-built rows follow the names."""
+    for d in (2, 3, 10, 11, 12):
+        small = sample_frames(d, 10, seed=9)
+        large = sample_frames(d, 20, seed=9)
+        assert small.ids == large.ids[: 10 * d]
+        assert np.array_equal(small.coords, large.coords[: 10 * d])
+        assert small.tests == large.tests[:10]
+        assert small._rows == large._rows[:10]
+        large.to_test_space()  # names its outcomes in sorted order, not the sample's
+        for s in (small, large):
+            assert s._rows == _index_rows(s._index, s.tests)
+            assert s._row_array.tolist() == [list(r) for r in s._rows]
+            assert s._index == {x: i for i, x in enumerate(s.ids)}
+        assert (small._row_array[0].tolist() == list(range(d))) == (d <= 10)
+        again = sample_frames(d, 10, seed=9)
+        assert np.array_equal(small.coords, again.coords)
+        assert not np.array_equal(small.coords, sample_frames(d, 10, seed=10).coords)
 
 
 def test_sample_frames_are_rotations():
@@ -1427,6 +1445,19 @@ def test_save_sample_writes_the_dump_of_its_space(tmp_path_factory, d, count, se
     with mock.patch.object(TestSpace, "__post_init__", side_effect=AssertionError):
         save_sample(s, path, header=header)
     assert path.read_text() == dump_test_space(s.to_test_space(), header)
+
+
+@pytest.mark.parametrize("bad", ["a#1", "a b", "", "a\tb"])
+def test_ids_that_do_not_read_back_are_not_written(tmp_path, bad):
+    """An id that is empty or holds whitespace or `#` would read back as
+    other ids, so neither writer takes it, and no file is opened."""
+    ts = TestSpace.build((bad, "c"), [(bad, "c")])
+    with pytest.raises(ValidationError, match="cannot be written"):
+        dump_test_space(ts)
+    s = MetricSample((bad, "c"), np.eye(2), (frozenset((bad, "c")),))
+    with pytest.raises(ValidationError, match=re.escape(f"outcome id {bad!r} cannot be written")):
+        save_sample(s, tmp_path / "s.tsp")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_sample_builds_one_space_and_no_rows(tmp_path, monkeypatch):

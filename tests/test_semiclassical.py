@@ -245,16 +245,20 @@ def test_one_index_per_sample_and_sub_sample_on_read(monkeypatch):
 
     monkeypatch.setattr("testspaces.metric._index_rows", counting)
     small = sample_frames(3, 20, seed=4)
+    kept = small._row_array
     basis = auto_basis(small, 5, delta=0.9)
     first = extract_semiclassical(small, basis, density_target=0.9)
     large = sample_frames(3, 40, seed=4)
     grown = extend_basis(large, basis, 5, delta=0.9)
     again = extract_semiclassical(large, grown, density_target=0.9)
-    assert calls == [20, 40]  # the battery of each sample, and nothing more
+    # sample_frames builds each sample's rows once, in bulk, and the
+    # extractions read the kept row array: no row build by name
+    assert calls == []
+    assert small._row_array is kept and kept.shape == (20, 3)
     assert "sub_sample" not in again.__dict__
     sub = again.sub_sample
     assert again.__dict__["sub_sample"] is sub
-    assert calls == [20, 40, len(again.selected)]
+    assert calls == [len(again.selected)]  # the sub-sample's battery, on read
     assert again.sub_test_space is sub.to_test_space()
     assert again.tests == sub.tests == tuple(large.tests[k] for k in again.selected)
     assert first.sample is small and again.sample is large
