@@ -21,7 +21,6 @@ from .core import (
     DEFAULT_EVENT_CAP,
     TestSpace,
     TspError,
-    enumerate_events,
     load_test_space,
 )
 from .logic import (
@@ -105,14 +104,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_info(args) -> int:
     ts = _load_space(args.file)
-    # Over the cap these raise CapExceededError: exit 2, nothing on stdout.
-    events = enumerate_events(ts, args.cap)
+    # Over the cap this raises CapExceededError: exit 2, nothing on stdout.
+    # The events are counted on the enumeration; only a witness is built.
     algebraic, witness = is_algebraic(ts, args.cap)
     rows = [
         ("outcomes", len(ts.outcomes)),
         ("tests", len(ts.tests)),
         ("rank", ts.rank),
-        ("events", len(events)),
+        ("events", len(ts._enumeration[0])),
         ("algebraic", algebraic),
     ]
     if not algebraic:
@@ -255,6 +254,8 @@ def _extraction_rows(result, prefix: str = ""):
 
 
 def _cmd_extract(args) -> int:
+    if args.resample_factor < 1:
+        raise TspError(f"--resample-factor must be at least 1, got {args.resample_factor}")
     text, coords_text = _read_sample(args.file, args.coords)
     sample = _parsed_sample(*parse_sample(text, coords_text), args.ortho_tol)
     basis = _resolve_basis(args.basis, sample, args.delta)

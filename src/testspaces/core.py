@@ -256,13 +256,14 @@ class TestSpace:
         return _solve_states(self)
 
     @cached_property
-    def _enumeration(self) -> tuple[tuple[Event, ...], list[list[int]]]:
-        """(events, by_test) from one pass over the rows, once per instance.
+    def _enumeration(self) -> tuple[list[tuple[int, ...]], list[int], list[list[int]]]:
+        """(subsets, witnesses, by_test) from one pass over the rows, once per instance.
 
         Test i's subsets are index tuples in mask order, bit j picking row
         member j.  Sorted by (size, tuple), the distinct ones are the events
-        in event_key order, witnessed by their lowest tests; by_test[i][mask]
-        is the position among them of the one mask picks."""
+        in event_key order, kept as their index tuples; witnesses[k] is the
+        lowest test holding subsets[k], and by_test[i][mask] is the position
+        among them of the one mask picks.  Events are built by `_events_at`."""
         first: dict[tuple[int, ...], int] = {}
         per_test = []
         for i, row in enumerate(self._rows):
@@ -272,15 +273,24 @@ class TestSpace:
             for s in subsets:
                 first.setdefault(s, i)
             per_test.append(subsets)
-        keys = sorted(first, key=lambda s: (len(s), s))
-        number = dict(zip(keys, range(len(keys))))
-        events = tuple(Event(frozenset([self.outcomes[k] for k in s]), first[s]) for s in keys)
-        return events, [[number[s] for s in subsets] for subsets in per_test]
+        keys = sorted(first)
+        keys.sort(key=len)  # stable: (size, tuple) order
+        witnesses = list(map(first.__getitem__, keys))
+        number = first  # reused in place: each subset's position among the keys
+        number.update(zip(keys, range(len(keys))))
+        return keys, witnesses, [list(map(number.__getitem__, subsets)) for subsets in per_test]
+
+    def _events_at(self, positions: Iterable[int]) -> tuple[Event, ...]:
+        """The events at the given positions of the enumeration, built from
+        their index tuples and witnesses."""
+        keys, witnesses, _ = self._enumeration
+        names = self.outcomes
+        return tuple([Event(frozenset([names[j] for j in keys[k]]), witnesses[k]) for k in positions])
 
     @cached_property
     def _events(self) -> tuple[Event, ...]:
-        """Every event in event_key order, enumerated once per instance."""
-        return self._enumeration[0]
+        """Every event in event_key order, built on first read."""
+        return self._events_at(range(len(self._enumeration[0])))
 
     @cached_property
     def _event_structure(self):

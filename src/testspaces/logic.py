@@ -19,6 +19,7 @@ import hashlib
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -71,40 +72,54 @@ def _blocks(count: int, width: int):
 def _events_and_complements(ts: TestSpace):
     """(by_test, fibre, witness) over the events of ts, kept as ts._event_structure.
 
-    by_test[i][mask], numbered when the events are enumerated, is the index
-    in ts._events of the sub-event of test i that `mask` picks from its row,
-    so its complement in that test sits at the reversed position.  fibre[k]
-    numbers the set of events complementary to event k among the distinct
-    ones, in order of first appearance.  The witness is is_algebraic's.
+    by_test[i][mask] is the position in ts._enumeration of the sub-event of
+    test i that `mask` picks from its row, so its complement in that test
+    sits at the reversed position.  fibre[k] numbers the set of events
+    complementary to event k among the distinct ones, in order of first
+    appearance.  The witness is is_algebraic's.
     """
-    events = ts._events
-    by_test = ts._enumeration[1]
-    comp: list[set[int]] = [set() for _ in events]
+    by_test = ts._enumeration[2]
+    # comp[k]: the one event complementary to event k, or the frozenset of them
+    comp: list = [None] * len(ts._enumeration[0])
+    more: dict[int, set[int]] = {}
     for ids in by_test:
         for k, c in zip(ids, reversed(ids)):
-            comp[k].add(c)
-    comp = [frozenset(c) for c in comp]
-    numbers: dict[frozenset[int], int] = {}
+            ck = comp[k]
+            if ck is None:
+                comp[k] = c
+            elif ck != c:
+                more.setdefault(k, {ck}).add(c)
+    for k, cs in more.items():
+        comp[k] = frozenset(cs)
+    numbers: dict = {}
     fibre = [numbers.setdefault(c, len(numbers)) for c in comp]
-    return by_test, fibre, _algebraic_witness(events, comp, fibre)
+    return by_test, fibre, _algebraic_witness(ts, list(numbers), fibre)
 
 
-def _algebraic_witness(events, comp, fibre):
+def _algebraic_witness(ts: TestSpace, complements, fibre):
     """The events (A, B, C) of the first failure of algebraicity, or None.
 
-    The space is algebraic exactly when all events that share a complement
-    have the same complement set.  The witness is the first A in event
-    order, the first B perspective to it whose complements are not all
-    complements of A, and the least such complement C.
+    complements[f] is the event complementary to the events of fibre f, or
+    the frozenset of them when there are more.  The space is algebraic
+    exactly when all events that share a complement have the same
+    complement set, that is when the fibres' complement sets are disjoint.
+    The witness is the first A in event order, the first B perspective to it
+    whose complements are not all complements of A, and the least such C.
     """
-    seen: dict[int, int] = {}
-    bad = set()
-    for ck, f in zip(comp, fibre):
-        for c in ck:
-            if seen.setdefault(c, f) != f:
-                bad.add(c)
+    seen: set[int] = set()
+    bad: set[int] = set()  # the complements of more than one fibre
+    for cs in complements:
+        if isinstance(cs, frozenset):
+            bad |= seen & cs
+            seen |= cs
+        elif cs in seen:
+            bad.add(cs)
+        else:
+            seen.add(cs)
     if not bad:
         return None
+    sets = [cs if isinstance(cs, frozenset) else frozenset((cs,)) for cs in complements]
+    comp = [sets[f] for f in fibre]
     # Only events sharing a mixed complement can take part in a failure.
     sharing = defaultdict(list)
     for k, ck in enumerate(comp):
@@ -115,7 +130,7 @@ def _algebraic_witness(events, comp, fibre):
         for b in sorted({k for c in ca & bad for k in sharing[c]}):
             extra = comp[b] - ca
             if extra:
-                return events[a], events[b], events[min(extra)]
+                return ts._events_at((a, b, min(extra)))
     raise AssertionError("mixed complement without a failing pair")
 
 
@@ -228,11 +243,15 @@ class _SumTable:
 
     `_table[p, q]` is p + q, or -1 where undefined; `_ocomp` and `_leq` are
     the orthocomplement and the natural order that _verify_table returns.
+    `_triples` holds the arrays (p, q, p + q) of every defined sum in
+    row-major (p, q) order: the one sum list that every reader takes.
     """
 
     def __init__(self, table, zero: int, one: int, what: str, names=None):
         self._ocomp, self._leq = _verify_table(table, zero, one, what, names)
         self._table: np.ndarray = table
+        ps, qs = np.nonzero(table >= 0)
+        self._triples = ps, qs, table[ps, qs]
         self.zero = zero
         self.one = one
 
@@ -255,17 +274,40 @@ class _SumTable:
 
     def sum_items(self) -> list[tuple[tuple[int, int], int]]:
         """Every defined sum as ((p, q), p + q), in (p, q) order."""
-        ps, qs = np.nonzero(self._table >= 0)
-        return list(zip(zip(ps.tolist(), qs.tolist()), self._table[ps, qs].tolist()))
+        ps, qs, rs = (a.tolist() for a in self._triples)
+        return list(zip(zip(ps, qs), rs))
 
 
 class Logic(_SumTable):
-    """Immutable orthoalgebra of perspectivity classes; query-only."""
+    """Immutable orthoalgebra of perspectivity classes; query-only.
+
+    build_logic leaves `classes` to be built on first read from its space."""
 
     def __init__(self, classes, zero: int, one: int, table):
         super().__init__(table, zero, one, "logic construction")
-        self.classes: tuple[tuple[frozenset[str], ...], ...] = classes
-        self._class_of = {m: i for i, grp in enumerate(classes) for m in grp}
+        self.classes = classes
+
+    @classmethod
+    def _of_space(cls, ts: TestSpace, zero: int, one: int, table) -> "Logic":
+        """The logic of the algebraic space ts on its sum table."""
+        logic = cls.__new__(cls)
+        _SumTable.__init__(logic, table, zero, one, "logic construction")
+        logic._space = ts
+        return logic
+
+    @cached_property
+    def classes(self) -> tuple[tuple[frozenset[str], ...], ...]:
+        """The member sets of each class, in event order within a class."""
+        ts = self._space
+        names = ts.outcomes
+        members: list[list[frozenset[str]]] = [[] for _ in range(len(self))]
+        for s, c in zip(ts._enumeration[0], ts._event_structure[1]):
+            members[c].append(frozenset([names[k] for k in s]))
+        return tuple(map(tuple, members))
+
+    @cached_property
+    def _class_of(self) -> dict[frozenset[str], int]:
+        return {m: i for i, grp in enumerate(self.classes) for m in grp}
 
     def class_of(self, members) -> int:
         m = member_set(members)
@@ -276,8 +318,9 @@ class Logic(_SumTable):
 
     def table_digest(self) -> str:
         """sha256 over the canonical serialization of the sum table."""
-        payload = ";".join(f"{p},{q}->{r}" for (p, q), r in self.sum_items())
-        payload = f"n={len(self)};zero={self.zero};one={self.one};" + payload
+        flat = np.column_stack(self._triples).ravel().tolist()
+        sums = ("%d,%d->%d;" * (len(flat) // 3) % tuple(flat))[:-1]
+        payload = f"n={len(self)};zero={self.zero};one={self.one};" + sums
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -339,14 +382,10 @@ def build_logic(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> Logic:
     cls = np.array(fibre)
     n = int(cls.max()) + 1
     _check_table_size(n)
-    members: list[list[frozenset[str]]] = [[] for _ in range(n)]
-    for e, c in zip(ts._events, fibre):
-        members[c].append(e.members)
-    classes = tuple(map(tuple, members))
     zero = int(cls[0])  # the empty event comes first
     one = int(cls[by_test[0][-1]])
 
-    return Logic(classes, zero, one, _sum_table(n, [cls[row] for row in by_test]))
+    return Logic._of_space(ts, zero, one, _sum_table(n, [cls[row] for row in by_test]))
 
 
 @dataclass(frozen=True)
@@ -396,11 +435,10 @@ def check_prop04(logic: _SumTable) -> Prop04Result:
     osum_is_join: on summable pairs the sum is the least upper bound.
     omp: (L, <=, ') is an orthomodular poset, computed purely order-wise.
     """
-    table = logic._table
-    defined = table >= 0
-    ps, qs = np.nonzero(np.triu(defined))
-    pqs = table[ps, qs]
-    bits = np.packbits(defined, axis=1)
+    ps, qs, pqs = logic._triples
+    upper = ps <= qs
+    ps, qs, pqs = ps[upper], qs[upper], pqs[upper]
+    bits = np.packbits(logic._table >= 0, axis=1)
     orthocoherent = not any(
         (bits[ps[sl]] & bits[qs[sl]] & ~bits[pqs[sl]]).any()
         for sl in _blocks(len(ps), bits.shape[1])
@@ -495,7 +533,8 @@ class OrthoalgebraTable:
 
     def sum_triples(self) -> list[tuple[str, str, str]]:
         els = self.elements
-        return sorted((els[p], els[q], els[r]) for (p, q), r in self._sums.sum_items())
+        ps, qs, rs = (a.tolist() for a in self._sums._triples)
+        return sorted([(els[p], els[q], els[r]) for p, q, r in zip(ps, qs, rs)])
 
 
 def loads_oa(text: str) -> OrthoalgebraTable:
@@ -601,7 +640,7 @@ def oa_to_test_space(oa: OrthoalgebraTable) -> TestSpace:
     zero, one = sums.zero, sums.one
     # Per element p, the defined sums p + q over nonzero q, in index order.
     plus: list[list[tuple[int, int]]] = [[] for _ in range(len(sums))]
-    for (p, q), r in sums.sum_items():
+    for p, q, r in zip(*(a.tolist() for a in sums._triples)):
         if q != zero:
             plus[p].append((q, r))
     found: list[tuple[int, ...]] = []
@@ -623,13 +662,12 @@ def oa_to_test_space(oa: OrthoalgebraTable) -> TestSpace:
     )
 
 
-def _fold(oa: OrthoalgebraTable, members: Iterable[str]) -> int:
-    """Sum the named elements in sorted order on the index-level table; -1 where undefined."""
-    sums, idx = oa._sums, oa._idx
+def _fold(sums: _SumTable, elements: Iterable[int]) -> int:
+    """Sum the element indices in the order given; -1 where undefined."""
     plus = sums._table.item
     acc = sums.zero
-    for e in sorted(members):
-        acc = plus(acc, idx[e])
+    for e in elements:
+        acc = plus(acc, e)
         if acc < 0:
             break
     return acc
@@ -637,7 +675,7 @@ def _fold(oa: OrthoalgebraTable, members: Iterable[str]) -> int:
 
 def fold_osum(oa: OrthoalgebraTable, members: Iterable[str]) -> str | None:
     """Sum a set of elements in sorted order; None when undefined."""
-    r = _fold(oa, members)
+    r = _fold(oa._sums, [oa._idx[e] for e in sorted(members)])
     return None if r < 0 else oa.elements[r]
 
 
@@ -656,9 +694,14 @@ def _roundtrip(oa: OrthoalgebraTable, ts: TestSpace) -> dict[int, str] | None:
     if len(logic) != oa.size:
         return None
     sums = oa._sums
+    # Fold every event of each class; the outcomes of ts are oa's element
+    # names in sorted order, so an event's index tuple is in name order.
+    at = [oa._idx[x] for x in ts.outcomes]
+    folds: list[set[int]] = [set() for _ in range(len(logic))]
+    for s, c in zip(ts._enumeration[0], ts._event_structure[1]):
+        folds[c].add(_fold(sums, [at[j] for j in s]))
     phi: list[int] = []
-    for grp in logic.classes:
-        vals = {_fold(oa, m) for m in grp}
+    for vals in folds:
         if len(vals) != 1 or -1 in vals:
             return None
         phi.append(vals.pop())

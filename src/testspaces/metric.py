@@ -318,7 +318,10 @@ class MetricSample:
 @dataclass(frozen=True, eq=False)
 class VietorisBasicOpen:
     """A basic open of the hyperspace: finite sets covered by the ball union
-    and meeting every ball."""
+    and meeting every ball.
+
+    `centers` (one row a ball) and `radii` are the balls stacked once, when
+    the open is checked."""
 
     balls: tuple[tuple[np.ndarray, float], ...]
 
@@ -328,19 +331,15 @@ class VietorisBasicOpen:
         balls = tuple((np.asarray(c, dtype=float), float(r)) for c, r in self.balls)
         if len({c.shape for c, _ in balls}) != 1 or balls[0][0].ndim != 1:
             raise ValidationError("ball centers must be vectors of one dimension")
-        if not all(math.isfinite(r) and r > 0 for _, r in balls):
+        radii = np.array([r for _, r in balls])
+        if not (np.isfinite(radii) & (radii > 0)).all():
             raise ValidationError("ball radii must be finite and positive")
-        if not all(np.isfinite(c).all() for c, _ in balls):
+        centers = np.stack([c for c, _ in balls])
+        if not np.isfinite(centers).all():
             raise ValidationError("ball centers must be finite")
         object.__setattr__(self, "balls", balls)
-
-    @cached_property
-    def centers(self) -> np.ndarray:
-        return np.stack([c for c, _ in self.balls])
-
-    @cached_property
-    def radii(self) -> np.ndarray:
-        return np.array([r for _, r in self.balls])
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "radii", radii)
 
 
 def basic_open(centers, radius: float) -> VietorisBasicOpen:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import re
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -120,18 +121,18 @@ def test_info_non_algebraic_witness_and_strict(capsys, tmp_path):
 
 
 def test_info_enumerates_events_once(capsys, tmp_path, monkeypatch):
-    calls = []
-
-    def counting(ts, cap=core.DEFAULT_EVENT_CAP):
-        calls.append(cap)
-        return core.enumerate_events(ts, cap)
-
-    for module in (cli, logic):
-        if hasattr(module, "enumerate_events"):
-            monkeypatch.setattr(module, "enumerate_events", counting)
+    """One enumeration, and no Event built for an algebraic space."""
+    calls, built = [], []
+    enumerate_once = core.TestSpace._enumeration.func
+    counted = cached_property(lambda ts: calls.append(ts) or enumerate_once(ts))
+    counted.__set_name__(core.TestSpace, "_enumeration")
+    monkeypatch.setattr(core.TestSpace, "_enumeration", counted)
+    init = core.Event.__init__
+    monkeypatch.setattr(core.Event, "__init__", lambda e, *a: built.append(a) or init(e, *a))
     code, out, _ = run(capsys, "info", space_file(tmp_path, "triangle"))
-    assert code == 0 and "events: 19" in out
+    assert code == 0 and "events: 19" in out and "algebraic: yes" in out
     assert len(calls) == 1
+    assert built == []
 
 
 def test_info_over_the_event_cap_exits_2(capsys, tmp_path):
@@ -401,6 +402,15 @@ def test_extract_resample_needs_header(capsys, tmp_path):
     )
     assert code == 2
     assert "header" in err
+
+
+@pytest.mark.parametrize("factor", ["0", "-2"])
+def test_resample_factor_below_one_is_refused_before_reading(capsys, tmp_path, factor):
+    missing = str(tmp_path / "missing.tsp")  # no file is read
+    code, out, err = run(capsys, "extract", missing, "--basis", "auto:2",
+                         "--resample-factor", factor)
+    assert (code, out) == (2, "")
+    assert err == f"error: --resample-factor must be at least 1, got {factor}\n"
 
 
 def test_extract_saves_loadable_subspace(capsys, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 import re
 
 import numpy as np
@@ -362,7 +363,32 @@ def frozen_events_and_complements(ts):
     comp = [frozenset(c) for c in comp]
     numbers = {}
     fibre = [numbers.setdefault(c, len(numbers)) for c in comp]
-    return by_test, fibre, logic_module._algebraic_witness(events, comp, fibre)
+    return by_test, fibre, frozen_algebraic_witness(events, comp, fibre)
+
+
+def frozen_algebraic_witness(events, comp, fibre):
+    """The first failure of algebraicity as events (A, B, C), searched over
+    the event list: the first A in event order, the first B sharing a
+    complement with A whose complements are not all A's, the least such C."""
+    seen = {}
+    bad = set()
+    for ck, f in zip(comp, fibre):
+        for c in ck:
+            if seen.setdefault(c, f) != f:
+                bad.add(c)
+    if not bad:
+        return None
+    sharing = defaultdict(list)
+    for k, ck in enumerate(comp):
+        for c in ck & bad:
+            sharing[c].append(k)
+    for a in sorted({k for c in bad for k in sharing[c]}):
+        ca = comp[a]
+        for b in sorted({k for c in ca & bad for k in sharing[c]}):
+            extra = comp[b] - ca
+            if extra:
+                return events[a], events[b], events[min(extra)]
+    raise AssertionError("mixed complement without a failing pair")
 
 
 def frozen_components(ts):

@@ -1,0 +1,110 @@
+"""Laws of the logic layer, checked through the public API only.
+
+The disjoint union A + B of two spaces (their outcomes renamed apart) has
+one shared empty event and glues the logics at 0 and 1: e(A + B) = e(A) +
+e(B) - 1; A + B is algebraic exactly when A and B are; and then
+|L(A + B)| = |L(A)| + |L(B)| - 2 (the horizontal sum).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import CORPUS_NAMES
+from testspaces import (
+    Event,
+    TestSpace,
+    build_logic,
+    check_prop04,
+    corpus,
+    dump_test_space,
+    enumerate_events,
+    is_algebraic,
+    load_test_space,
+)
+
+
+def disjoint_union(a: TestSpace, b: TestSpace) -> TestSpace:
+    """a + b, with a's outcomes renamed `a.x` and b's `b.x`."""
+    tests = [frozenset(f"{tag}.{x}" for x in t) for tag, ts in (("a", a), ("b", b)) for t in ts.tests]
+    outcomes = [f"a.{x}" for x in a.outcomes] + [f"b.{x}" for x in b.outcomes]
+    return TestSpace.build(outcomes, tests)
+
+
+def assert_union_laws(a: TestSpace, b: TestSpace) -> None:
+    ab = disjoint_union(a, b)
+    assert len(enumerate_events(ab)) == len(enumerate_events(a)) + len(enumerate_events(b)) - 1
+    algebraic = is_algebraic(a)[0] and is_algebraic(b)[0]
+    assert is_algebraic(ab)[0] == algebraic
+    if algebraic:
+        assert len(build_logic(ab)) == len(build_logic(a)) + len(build_logic(b)) - 2
+
+
+def test_disjoint_union_laws_on_corpus_pairs(spaces):
+    for x, y in itertools.combinations_with_replacement(CORPUS_NAMES, 2):
+        assert_union_laws(spaces[x], spaces[y])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(CORPUS_NAMES))
+def test_disjoint_union_laws_on_random_draws(rnd, name):
+    a = corpus.random_test_space(rnd, max_universe=9, max_tests=4, max_size=4)
+    b = corpus.random_test_space(rnd, max_universe=9, max_tests=4, max_size=4)
+    assert_union_laws(a, b)
+    assert_union_laws(a, load_test_space(corpus.gen(name)))
+
+
+def frozen_table_digest(logic) -> str:
+    """The f-string payload table_digest hashed when it was written per sum;
+    kept as the reference for its bytes."""
+    payload = ";".join(f"{p},{q}->{r}" for (p, q), r in logic.sum_items())
+    payload = f"n={len(logic)};zero={logic.zero};one={logic.one};" + payload
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def random_algebraic_spaces(seed: int, count: int):
+    rng = random.Random(seed)
+    while count:
+        ts = corpus.random_test_space(rng, max_universe=12, max_tests=5, max_size=6)
+        if is_algebraic(ts)[0]:
+            count -= 1
+            yield ts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_table_digest_equals_the_frozen_payload_on_random_logics(seed):
+    for ts in random_algebraic_spaces(seed, 3):
+        logic = build_logic(ts)
+        assert logic.table_digest() == frozen_table_digest(logic)
+
+
+@pytest.mark.parametrize("name", ["classical-1", "classical-7", *CORPUS_NAMES])
+def test_table_digest_equals_the_frozen_payload_on_corpus(name):
+    ts = load_test_space(corpus.gen(name))
+    if is_algebraic(ts)[0]:
+        logic = build_logic(ts)
+        assert logic.table_digest() == frozen_table_digest(logic)
+
+
+def test_logic_of_an_algebraic_space_builds_no_event(monkeypatch):
+    # drawn first: the draws refused as non-algebraic build their witnesses
+    texts = [dump_test_space(ts) for ts in random_algebraic_spaces(0, 20)]
+    texts.append(corpus.gen("glued-pair"))
+    built = []
+    init = Event.__init__
+    monkeypatch.setattr(Event, "__init__", lambda e, *a: built.append(a) or init(e, *a))
+    for ts in map(load_test_space, texts):
+        assert is_algebraic(ts) == (True, None)
+        logic = build_logic(ts)
+        check_prop04(logic)
+        logic.table_digest()
+    assert built == []
+    # the guard sees an Event when one is built
+    enumerate_events(ts)
+    assert built

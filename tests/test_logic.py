@@ -800,11 +800,11 @@ def test_logic_to_oa_equals_frozen_path_on_corpus(spaces):
 
 
 def counted_enumeration(calls):
-    """TestSpace._events, recording each space it enumerates."""
-    enumerate_once = TestSpace._events.func
+    """TestSpace._enumeration, recording each space it enumerates."""
+    enumerate_once = TestSpace._enumeration.func
     counted = cached_property(lambda ts: calls.append(ts) or enumerate_once(ts))
-    counted.__set_name__(TestSpace, "_events")
-    return mock.patch.object(TestSpace, "_events", counted)
+    counted.__set_name__(TestSpace, "_enumeration")
+    return mock.patch.object(TestSpace, "_enumeration", counted)
 
 
 def test_is_algebraic_then_build_logic_enumerate_the_events_once(spaces):
