@@ -34,8 +34,7 @@ from .logic import (
 from .metric import (
     DEFAULT_ORTHO_TOL,
     MetricSample,
-    _battery,
-    _parsed_sample,
+    _space_battery,
     dump_basis,
     load_basis,
     parse_sample,
@@ -200,14 +199,10 @@ def _read_sample(path: str, coords: str | None) -> tuple[str, str]:
 
 def _cmd_metric_check(args) -> int:
     ts, pts = parse_sample(*_read_sample(args.file, args.coords))
-    rows = _battery(ts.outcomes, pts, ts.tests, args.ortho_tol, ts)[0]
-    out = []
-    failed = False
-    for name, ok, detail in rows:
-        out.append((name, "ok" if ok else f"fail ({detail})" if detail else "fail"))
-        failed = failed or not ok
-    _emit(out, args.format)
-    return 1 if args.strict and failed else 0
+    rows = _space_battery(ts, pts, args.ortho_tol)
+    _emit([(name, "ok" if ok else f"fail ({detail})" if detail else "fail")
+           for name, ok, detail in rows], args.format)
+    return 1 if args.strict and not all(ok for _, ok, _ in rows) else 0
 
 
 def _cmd_sample_frames(args) -> int:
@@ -257,7 +252,7 @@ def _cmd_extract(args) -> int:
     if args.resample_factor < 1:
         raise TspError(f"--resample-factor must be at least 1, got {args.resample_factor}")
     text, coords_text = _read_sample(args.file, args.coords)
-    sample = _parsed_sample(*parse_sample(text, coords_text), args.ortho_tol)
+    sample = MetricSample._of_space(*parse_sample(text, coords_text), args.ortho_tol)
     basis = _resolve_basis(args.basis, sample, args.delta)
     if args.save_basis:
         with open(args.save_basis, "w") as fh:

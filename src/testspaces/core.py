@@ -116,13 +116,6 @@ def _index_rows(index: dict[str, int], tests) -> tuple[tuple[int, ...], ...]:
     return tuple([tuple([index[x] for x in sorted(t)]) for t in tests])
 
 
-def _shared_rows(index: dict[str, int], rows: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The rows of a 2-D array of the index's positions as tuples of the
-    index's own int objects, so that the tuples hold no ints of their own."""
-    flat = np.array(list(index.values()), dtype=object)[rows.ravel()].tolist()
-    return tuple(zip(*[iter(flat)] * rows.shape[1]))
-
-
 def _repeats(rows: np.ndarray) -> bool:
     """Do two rows of the 2-D int array hold the same entries in the same
     order?  Sorted lexicographically, such rows are neighbours."""
@@ -134,9 +127,8 @@ def _repeats(rows: np.ndarray) -> bool:
 
 def _uniform_rows(index: dict[str, int], tests) -> np.ndarray | None:
     """The tests as one (tests, size) array of ascending indices, when there
-    are at least _BULK_MIN of them, they share one size, name only ids of
-    the index, are pairwise distinct and cover the index; None otherwise,
-    and the per-test pass decides."""
+    are at least _BULK_MIN of them, they share one size and name only ids of
+    the index; None otherwise, and the per-test pass decides."""
     if len(tests) < _BULK_MIN:
         return None
     sizes = set(map(len, tests))
@@ -148,11 +140,22 @@ def _uniform_rows(index: dict[str, int], tests) -> np.ndarray | None:
         flat = np.fromiter(map(index.__getitem__, members), np.intp, size * len(tests))
     except KeyError:
         return None
-    if np.count_nonzero(np.bincount(flat, minlength=len(index))) != len(index):
-        return None
     # each test's indices ascending, by one sort of the (test, index) pairs
-    rows = flat[np.lexsort((flat, np.arange(len(flat)) // size))].reshape(-1, size)
-    return None if _repeats(rows) else rows
+    return flat[np.lexsort((flat, np.arange(len(flat)) // size))].reshape(-1, size)
+
+
+def _row_space(outcomes, tests, rows, index=None) -> TestSpace:
+    """TestSpace(outcomes, tests), for tests already read as `rows`, one
+    (tests, size) int array of ascending indices into the sorted outcomes
+    (or None), and `index`, the outcome -> position dict (or None): the
+    space takes both as its own instead of looking the names up, and checks
+    the rows with the array checks of every space; rows they refuse go
+    through the per-test pass, which names the first fault."""
+    ts = object.__new__(TestSpace)
+    object.__setattr__(ts, "_index", index)
+    object.__setattr__(ts, "_row_array", rows)
+    ts.__init__(outcomes, tests)
+    return ts
 
 
 def _tests_containing(ts: TestSpace, m: frozenset[str]):
@@ -183,7 +186,8 @@ class TestSpace:
     one size, that pass runs on one (tests, size) array of the rows, kept as
     `_row_array` (None for mixed sizes), and `_rows` is read off it on first
     use; a space it refuses goes through the per-test pass, which names the
-    first fault.
+    first fault.  `_row_space` hands in an index and a row array already
+    built, which the same checks then read.
     """
 
     outcomes: tuple[str, ...]
@@ -192,7 +196,8 @@ class TestSpace:
     def __post_init__(self):
         if not self.outcomes:
             raise ValidationError("a test space needs at least one outcome")
-        index = dict(zip(self.outcomes, range(len(self.outcomes))))
+        given = self.__dict__  # `_row_space` sets `_index` and `_row_array` first
+        index = given.get("_index") or dict(zip(self.outcomes, range(len(self.outcomes))))
         if len(index) != len(self.outcomes):
             raise ValidationError("duplicate outcome ids")
         if list(self.outcomes) != sorted(self.outcomes):
@@ -200,7 +205,12 @@ class TestSpace:
         if not self.tests:
             raise ValidationError("a test space needs at least one test")
         # outcomes are sorted, so a row's ascending indices are its name order
-        array = _uniform_rows(index, self.tests)
+        array = given.get("_row_array")
+        if array is None:
+            array = _uniform_rows(index, self.tests)
+        # one array check: the rows cover every outcome and are distinct
+        covered = array is not None and np.bincount(array.ravel(), minlength=len(index)).all()
+        array = array if covered and not _repeats(array) else None
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_row_array", array)
         if array is not None:
@@ -225,9 +235,12 @@ class TestSpace:
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
-        """The rows of `_row_array`, as tuples of the index's own ints (the
-        per-test pass sets `_rows` itself)."""
-        return _shared_rows(self._index, self._row_array)
+        """The rows of `_row_array`, as tuples of the index's own int objects,
+        so that the tuples hold no ints of their own (the per-test pass sets
+        `_rows` itself)."""
+        rows = self._row_array
+        flat = np.array(list(self._index.values()), dtype=object)[rows.ravel()].tolist()
+        return tuple(zip(*[iter(flat)] * rows.shape[1]))
 
     @staticmethod
     def build(outcomes: Iterable[str], tests: Iterable[Iterable[str]]) -> "TestSpace":
@@ -547,25 +560,20 @@ def _parse_space_lines(text: str) -> TestSpace:
     return TestSpace.build(outcomes, tests)
 
 
-def _space_text(outcomes, ids, rows, header: str | None) -> str:
-    """Header comment lines, the outcomes line, then each row as ids[k].
+def dump_test_space(ts: TestSpace, header: str | None = None) -> str:
+    """Serialize a test space back to its textual form (deterministic).
 
     An outcome id that is empty or holds whitespace or `#` would read back
-    as other ids, so it raises ValidationError; the ids of the rows are
-    among the outcomes."""
-    head = "outcomes " + " ".join(outcomes)
-    if head.split() != ["outcomes", *outcomes] or "#" in head:
-        bad = next(x for x in outcomes if x.split() != [x] or "#" in x)
+    as other ids, so it raises ValidationError."""
+    head = "outcomes " + " ".join(ts.outcomes)
+    if head.split() != ["outcomes", *ts.outcomes] or "#" in head:
+        bad = next(x for x in ts.outcomes if x.split() != [x] or "#" in x)
         raise ValidationError(
             f"outcome id {bad!r} cannot be written: an id needs at least one "
             "character and no whitespace or '#'"
         )
+    names = ts.outcomes
     lines = [f"# {h}" for h in (header or "").splitlines()]
     lines.append(head)
-    lines += ["test " + " ".join([ids[k] for k in row]) for row in rows]
+    lines += ["test " + " ".join([names[k] for k in row]) for row in ts._rows]
     return "\n".join(lines) + "\n"
-
-
-def dump_test_space(ts: TestSpace, header: str | None = None) -> str:
-    """Serialize a test space back to its textual form (deterministic)."""
-    return _space_text(ts.outcomes, ts.outcomes, ts._rows, header)

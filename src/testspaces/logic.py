@@ -19,7 +19,7 @@ import hashlib
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable
 
 import numpy as np
@@ -152,15 +152,16 @@ def _check_table_size(n: int) -> None:
         raise CapExceededError("too many elements for a dense sum table", n, DENSE_TABLE_CAP)
 
 
-def _association_failure(table):
+def _association_failure(table, triples):
     """First (p, q, r) with q + r and p + (q + r) defined but (p + q) + r not equal.
 
-    Every defined pair (p, s) is checked against every decomposition
-    s = q + r, so the work is the number of such triples, taken in blocks.
+    `triples` holds the arrays (p, q, p + q) of every defined sum in
+    row-major (p, q) order, as _verify_table builds them.  Every defined pair
+    (p, s) is checked against every decomposition s = q + r, so the work is
+    the number of such triples, taken in blocks.
     """
     n = len(table)
-    ps, ss = np.nonzero(table >= 0)
-    sums = table[ps, ss]
+    ps, ss, sums = triples
     by_sum = np.argsort(sums, kind="stable")
     dec_q, dec_r = ps[by_sum], ss[by_sum]
     count = np.bincount(sums, minlength=n)
@@ -188,9 +189,10 @@ def _verify_table(table, zero, one, what, names=None):
     """Check the four orthoalgebra axioms, each once; derive order and complement.
 
     `table[p, q]` is p + q, or -1 where undefined.  Returns the complement
-    array and the order matrix (p <= q iff p + r = q for some r); raises
-    AxiomViolationError on the first failing axiom.  `names` maps indices
-    to display labels in error messages.
+    array, the order matrix (p <= q iff p + r = q for some r) and the sum
+    list (p, q, p + q) that both the association sweep and the order read;
+    raises AxiomViolationError on the first failing axiom.  `names` maps
+    indices to display labels in error messages.
 
     The axioms, in the order checked: + is commutative; p + 0 = p, and only
     0 is summable with itself; if q + r and p + (q + r) are defined, so is
@@ -222,7 +224,9 @@ def _verify_table(table, zero, one, what, names=None):
         if self_sum[p]:
             fail(f"element {label(p)} summable with itself")
         fail(f"{label(p)} + 0 != {label(p)}")
-    triple = _association_failure(table)
+    ps, qs = np.nonzero(defined)
+    triples = ps, qs, table[ps, qs]
+    triple = _association_failure(table, triples)
     if triple:
         fail("association mismatch at ({}, {}, {})".format(*map(label, triple)))
     is_one = table == one
@@ -233,25 +237,22 @@ def _verify_table(table, zero, one, what, names=None):
         fail(f"element {label(p)} has {count[p]} complements, want exactly 1")
     ocomp = is_one.argmax(axis=1)
     leq = np.zeros((n, n), dtype=bool)
-    rows, cols = np.nonzero(defined)
-    leq[rows, table[rows, cols]] = True
-    return ocomp, leq
+    leq[triples[0], triples[2]] = True
+    return ocomp, leq, triples
 
 
 class _SumTable:
     """A finite orthoalgebra on the indices 0..n-1, verified on construction.
 
     `_table[p, q]` is p + q, or -1 where undefined; `_ocomp` and `_leq` are
-    the orthocomplement and the natural order that _verify_table returns.
-    `_triples` holds the arrays (p, q, p + q) of every defined sum in
+    the orthocomplement and the natural order that _verify_table returns,
+    with `_triples`, the arrays (p, q, p + q) of every defined sum in
     row-major (p, q) order: the one sum list that every reader takes.
     """
 
     def __init__(self, table, zero: int, one: int, what: str, names=None):
-        self._ocomp, self._leq = _verify_table(table, zero, one, what, names)
+        self._ocomp, self._leq, self._triples = _verify_table(table, zero, one, what, names)
         self._table: np.ndarray = table
-        ps, qs = np.nonzero(table >= 0)
-        self._triples = ps, qs, table[ps, qs]
         self.zero = zero
         self.one = one
 
@@ -324,11 +325,15 @@ class Logic(_SumTable):
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
+@cache
 def _disjoint_pairs(k: int):
-    """Masks (a, b) of every ordered pair of disjoint subsets of k positions."""
+    """Masks (a, b) of every ordered pair of disjoint subsets of k positions,
+    built once per k and read-only: 3**k entries each, which every
+    _sum_table call with a test of k outcomes reads in full anyway."""
     a = b = np.zeros(1, dtype=np.int64)
     for bit in (1 << i for i in range(k)):
         a, b = np.concatenate((a, a | bit, a)), np.concatenate((b, b, b | bit))
+    a.flags.writeable = b.flags.writeable = False
     return a, b
 
 

@@ -33,7 +33,9 @@ from .core import (
     _index_rows,
     _lines,
     _repeats,
-    _space_text,
+    _row_space,
+    dump_test_space,
+    is_event,
     load_test_space,
 )
 
@@ -74,16 +76,6 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
     return _battery(ids, coords, tests, ortho_tol)[0]
 
 
-def _battery(ids, coords, tests, ortho_tol, space: TestSpace | None = None):
-    """(rows, index, test_rows): the rows of `check_sample_invariants`, the
-    id -> row index and each test's index rows that it built, each None
-    where the battery stopped before building it.  Given the TestSpace of
-    ids and tests, it reads that space's index and rows instead of building
-    them, and checks them as its own."""
-    known = None if space is None else (space._index, space._rows, space._row_array)
-    return _checks(ids, coords, tests, ortho_tol, known)[:3]
-
-
 def _by_size(rows) -> dict[int, np.ndarray]:
     """Each test size's rows, in test order, as one (tests, size) int array."""
     sizes = set(map(len, rows))
@@ -95,55 +87,78 @@ def _by_size(rows) -> dict[int, np.ndarray]:
     return {k: np.array(g, dtype=np.intp).reshape(len(g), k) for k, g in groups.items()}
 
 
-def _checks(ids, coords, tests, ortho_tol, known=None):
-    """_battery's rows, index and test rows, then its rows as one int array
-    per test size (None where it stopped before them).  `known` is (index,
-    test rows, their (tests, size) array or None for mixed sizes), read
-    instead of built; the rows are in name order, as `_index_rows` builds
-    them."""
+def _battery(ids, coords, tests, ortho_tol):
+    """(rows, index, by_size, order): the rows of `check_sample_invariants`;
+    the id -> position index of the sorted ids; each test size's rows under
+    it (`_by_size`; None where a test names an unknown id); and order[k],
+    the position among ids of sorted id k (None where the ids are sorted).
+    Where every row passes, the index and rows are those of the sample's
+    TestSpace."""
+    order = None
+    if not all(map(operator.le, ids, itertools.islice(ids, 1, None))):
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__))
+    names = ids if order is None else [ids[k] for k in order]
+    index = dict(zip(names, range(len(names))))
+    try:
+        by_size = _by_size(_index_rows(index, tests))
+    except KeyError:
+        by_size = None
+    rows = _rows(len(ids), len(index), coords, len(tests), by_size, ortho_tol, order)
+    return rows, index, by_size, order
+
+
+def _space_battery(space: TestSpace, points: np.ndarray, ortho_tol):
+    """check_sample_invariants(space.outcomes, points, space.tests,
+    ortho_tol), with `points` in the space's outcome order, read off the
+    space's index rows."""
+    array = space._row_array
+    by_size = _by_size(space._rows) if array is None else {array.shape[1]: array}
+    n = len(space.outcomes)
+    return _rows(n, n, points, len(space.tests), by_size, ortho_tol)
+
+
+def _rows(n, distinct, coords, count, by_size, ortho_tol, order=None):
+    """The battery's rows for n ids, `distinct` of them distinct, their
+    coordinates and `count` tests, given by size as rows of positions, which
+    `order` takes to rows of coords (None: the same); by_size is None where
+    a test names an unknown id.  The battery stops after a failing shape,
+    and after unknown ids."""
     _check_ortho_tol(ortho_tol)
-    rows = []
-    n, d = coords.shape if coords.ndim == 2 else (0, 0)
-    rows.append(("shape", coords.ndim == 2 and n == len(ids) and d >= 2,
-                 f"{len(ids)} ids, coords {coords.shape}"))
-    if not rows[-1][1]:
-        return rows, None, None, None
-    if known is None:
-        index = {x: i for i, x in enumerate(ids)}
-    else:
-        index, test_rows, array = known
-    rows.append(("distinct-ids", len(index) == len(ids), f"{len(ids)} ids"))
-    norms = np.linalg.norm(coords, axis=1)
-    dev = float(np.abs(norms - 1.0).max()) if n else 0.0
+    shape = coords.ndim == 2 and coords.shape[0] == n and coords.shape[1] >= 2
+    rows = [("shape", shape, f"{n} ids, coords {coords.shape}")]
+    if not shape:
+        return rows
+    dev = float(np.abs(np.linalg.norm(coords, axis=1) - 1.0).max()) if n else 0.0
+    rows.append(("distinct-ids", distinct == n, f"{n} ids"))
     rows.append(("unit-norm", dev <= UNIT_NORM_TOL, f"max deviation {dev:.3e}"))
-    if known is None:
-        try:
-            test_rows = _index_rows(index, tests)
-        except KeyError:
-            rows.append(("test-ids-known", False, ""))
-            return rows, index, None, None
-        array = None
-    rows.append(("test-ids-known", True, ""))
-    by_size = _by_size(test_rows) if array is None else {array.shape[1]: array}
-    size = max(by_size, default=0)
-    rows.append(("tests-nonempty", bool(tests) and 0 not in by_size, f"{len(tests)} tests"))
+    rows.append(("test-ids-known", by_size is not None, ""))
+    if by_size is None:
+        return rows
+    size, d = max(by_size, default=0), coords.shape[1]
+    rows.append(("tests-nonempty", count > 0 and 0 not in by_size, f"{count} tests"))
     rows.append(("test-size", size <= d, f"max {size} <= dim {d}"))
     rows.append(("tests-distinct", not any(map(_repeats, by_size.values())), ""))
-    covered = np.zeros(len(ids), dtype=bool)
+    covered = np.zeros(n, dtype=bool)
     for part in by_size.values():
         covered[part] = True
-    uncovered = len(index) - np.count_nonzero(covered)
+    uncovered = distinct - np.count_nonzero(covered)
     rows.append(("covering", not uncovered, f"{uncovered} uncovered"))
     thr = math.sin(ortho_tol)
     worst = 0.0
     for k, part in by_size.items():  # one batch per test size
         if k > 1:
-            pts = coords[part]
+            pts = coords[part if order is None else order[part]]
             g = pts @ pts.transpose(0, 2, 1)
             worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
     rows.append(("in-test-orthogonality", worst <= thr,
                  f"max |inner| {worst:.3e} vs {thr:.3e}"))
-    return rows, index, test_rows, by_size
+    return rows
+
+
+def _raise_failed(rows) -> None:
+    for name, ok, detail in rows:
+        if not ok:
+            raise ValidationError(f"sample invariant {name} fails: {detail}")
 
 
 _BLOCK_ELEMENTS = 1 << 17  # 1 MB of float64 per temporary of a blocked scan
@@ -223,10 +238,12 @@ def _orthogonal_pairs(pts: np.ndarray, thr: float):
 class MetricSample:
     """Outcome ids with unit-vector coordinates and near-orthogonal tests.
 
-    `_index` maps an id to its coordinate row and `_rows` holds each test as
-    its members' rows in name order; `_row_array` holds those rows as one
-    (tests, size) int array when the tests share one size, else None.  All
-    three are the invariant battery's own, kept from construction.
+    A sample is its TestSpace plus coordinates.  `_space`, built once when
+    the sample is made, holds the one id -> row index and the test rows
+    that every reader uses, and `_points` the coordinates in its outcome
+    order.  `ids` and `coords` keep the sampled order: `_order[k]` is the
+    position among `ids` of the space's outcome k, None where the ids are
+    sorted and `_points` is `coords` itself.
     """
 
     ids: tuple[str, ...]
@@ -236,53 +253,40 @@ class MetricSample:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", np.ascontiguousarray(self.coords, dtype=float))
-        known = self.__dict__.pop("_known", None)  # set by _known_sample
-        rows, index, test_rows, by_size = _checks(
-            self.ids, self.coords, self.tests, self.ortho_tol, known
-        )
-        for name, ok, detail in rows:
-            if not ok:
-                raise ValidationError(f"sample invariant {name} fails: {detail}")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_rows", test_rows)
+        rows, index, by_size, order = _battery(self.ids, self.coords, self.tests, self.ortho_tol)
+        _raise_failed(rows)
         array = next(iter(by_size.values())) if len(by_size) == 1 else None
-        object.__setattr__(self, "_row_array", array)
+        self._hold(_row_space(tuple(index), tuple(map(frozenset, self.tests)), array, index), order)
 
-    @cached_property
-    def _test_space(self) -> TestSpace:
-        return TestSpace.build(self.ids, self.tests)
+    @classmethod
+    def _of_space(cls, space: TestSpace, coords, ortho_tol: float, ids=None, order=None):
+        """The sample of a space already built, with `coords` in the order of
+        `ids` (by default the space's outcomes) and `order` as `_order`;
+        its battery reads the space (`_space_battery`)."""
+        sample = object.__new__(cls)
+        fields = (space.outcomes if ids is None else ids, coords, space.tests, ortho_tol)
+        for name, value in zip(("ids", "coords", "tests", "ortho_tol"), fields):
+            object.__setattr__(sample, name, value)
+        sample._hold(space, order)
+        _raise_failed(_space_battery(space, sample._points, ortho_tol))
+        return sample
 
-    @cached_property
-    def _tests_of(self) -> list[list[int]]:
-        """Each outcome row's ascending test indices, from `_rows`."""
-        out: list[list[int]] = [[] for _ in self.ids]
-        for i, row in enumerate(self._rows):
-            for k in row:
-                out[k].append(i)
-        return out
-
-    def _is_event(self, members) -> bool:
-        """Are the ids inside some test, by their rows?  Only the tests of
-        the member in the fewest are tried; an unknown id is in none, and
-        the empty set is in every test."""
-        try:
-            rows = {self._index[x] for x in members}
-        except KeyError:
-            return False
-        if not rows:
-            return True
-        fewest = min((self._tests_of[k] for k in rows), key=len)
-        return any(rows.issubset(self._rows[i]) for i in fewest)
+    def _hold(self, space: TestSpace, order) -> None:
+        object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_points", self.coords if order is None else self.coords[order])
 
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
 
     def index_of(self, outcome: str) -> int:
+        """The outcome's row of `coords`, read off the space's index."""
         try:
-            return self._index[outcome]
+            k = self._space._index[outcome]
         except KeyError:
             raise UnknownOutcomeError(f"unknown outcome {outcome!r}") from None
+        return k if self._order is None else int(self._order[k])
 
     def point(self, outcome: str) -> np.ndarray:
         return self.coords[self.index_of(outcome)]
@@ -311,8 +315,8 @@ class MetricSample:
         return np.concatenate(chunks)
 
     def to_test_space(self) -> TestSpace:
-        """The combinatorial side of the sample, built once on first use."""
-        return self._test_space
+        """The combinatorial side of the sample: the one space it holds."""
+        return self._space
 
 
 @dataclass(frozen=True, eq=False)
@@ -739,21 +743,21 @@ def event_cardinality_locally_constant(sample: MetricSample, a, b) -> bool:
     When the Hausdorff distance is below half the smaller internal
     separation, the check requires equal cardinalities and exact agreement
     of matching and Hausdorff distances; otherwise it holds vacuously.
-    Both arguments must be nonempty events of the sample, decided on the
-    sample's own index and rows.  Both separations and the cross distances
-    are read from one matrix of squared distances over the points of a
-    followed by those of b, whose diagonal is set to infinity, reduced once
-    to each row's least entry among a's points and among b's; each answer
-    takes its square root once.
+    Both arguments must be nonempty events of the sample's space.  Both
+    separations and the cross distances are read from one matrix of squared
+    distances over the points of a followed by those of b, whose diagonal
+    is set to infinity, reduced once to each row's least entry among a's
+    points and among b's; each answer takes its square root once.
     """
     ma, mb = frozenset(a), frozenset(b)
     for m in (ma, mb):
-        if not sample._is_event(m):
+        if not is_event(sample._space, m):
             raise ValidationError(f"{sorted(m)} is not an event of the sample")
     if not (ma and mb):
         raise ValidationError("the local-constancy check needs nonempty events")
     k = len(ma)
-    pts = sample.coords.take([sample._index[x] for m in (ma, mb) for x in m], axis=0)
+    index = sample._space._index
+    pts = sample._points.take([index[x] for m in (ma, mb) for x in m], axis=0)
     full = _squared_distances(pts, pts)
     full.flat[:: len(full) + 1] = np.inf  # a one-point event is infinitely separated
     # each row's least entry among a's columns and among b's
@@ -782,7 +786,9 @@ def _frame_vectors(d: int, count: int, seed: int) -> np.ndarray:
     q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
     dets = np.linalg.det(q)
     q[dets < 0, :, -1] *= -1.0
-    pts = np.transpose(q, (0, 2, 1)).reshape(count * d, d)
+    # contiguous at every count: one frame's transpose would otherwise stay a
+    # strided view, whose norms numpy sums in another order from d = 8 on
+    pts = np.ascontiguousarray(np.transpose(q, (0, 2, 1))).reshape(count * d, d)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -794,6 +800,8 @@ def sample_frames(d: int, count: int, seed: int) -> MetricSample:
     with the usual sign fix, and flips one column where needed to land in
     the rotation group.  Frame k contributes outcomes f<k>.0 .. f<k>.(d-1).
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be at least 0, got {seed}")
     if d < 2:
         raise ValidationError("frame dimension must be at least 2")
     if not 1 <= count <= MAX_FRAME_COUNT:
@@ -808,13 +816,14 @@ def sample_frames(d: int, count: int, seed: int) -> MetricSample:
     digits = [str(i) for i in range(d)]
     ids = tuple([p + i for p in [f"f{k:0{width}d}." for k in range(count)] for i in digits])
     tests = tuple(map(frozenset, zip(*[iter(ids)] * d)))
-    # a frame's name order is the order of its suffixes: f….10 before f….2
-    order = sorted(range(d), key=digits.__getitem__)
-    rows = np.arange(count * d).reshape(count, d)[:, order]
-    ints = list(range(count * d))  # the index's ints, shared by the row tuples
-    by_name = operator.itemgetter(*order)
-    known = (dict(zip(ids, ints)), tuple(map(by_name, zip(*[iter(ints)] * d))), rows)
-    return _known_sample(ids, pts, tests, DEFAULT_ORTHO_TOL, known)
+    # each frame holds one block of positions in both orders, so its row is
+    # the block; the names within it sort as their suffixes: f….10 before f….2
+    rows = np.arange(count * d).reshape(count, d)
+    by_name = sorted(range(d), key=digits.__getitem__)
+    order = None if by_name == list(range(d)) else rows[:, by_name].ravel()
+    names = ids if order is None else tuple(map(ids.__getitem__, order.tolist()))
+    space = _row_space(names, tests, rows)
+    return MetricSample._of_space(space, pts, DEFAULT_ORTHO_TOL, ids, order)
 
 
 def closure_check(
@@ -881,13 +890,13 @@ _COORD_LINE = "outcome {} {}\n"
 
 
 def save_sample(sample: MetricSample, tsp_path, coords_path=None, header: str | None = None):
-    """Write the combinatorial file, from the sample's own rows, plus the
+    """Write the combinatorial file, the dump of the sample's space, plus the
     coordinate sidecar, in blocks of lines; returns paths.  Ids that cannot
-    be written (see `_space_text`) raise before either file is opened."""
+    be written (see `dump_test_space`) raise before either file is opened."""
     tsp_path = os.fspath(tsp_path)
     if coords_path is None:
         coords_path = sidecar_path(tsp_path)
-    text = _space_text(sorted(sample.ids), sample.ids, sample._rows, header)
+    text = dump_test_space(sample._space, header)
     with open(tsp_path, "w") as fh:
         fh.write(text)
     with open(coords_path, "w") as fh:
@@ -1000,25 +1009,4 @@ def load_sample(tsp_path, coords_path=None, ortho_tol: float = DEFAULT_ORTHO_TOL
         tsp_text = fh.read()
     with open(coords_path) as fh:
         coords_text = fh.read()
-    return _parsed_sample(*parse_sample(tsp_text, coords_text), ortho_tol)
-
-
-def _known_sample(ids, coords, tests, ortho_tol, known, space: TestSpace | None = None):
-    """MetricSample(ids, coords, tests, ortho_tol), whose battery reads the
-    index, rows and row array in `known` (see `_checks`) instead of building
-    them, and checks them as its own; a given space of the ids and tests is
-    kept as the sample's to_test_space()."""
-    sample = object.__new__(MetricSample)
-    sample.__dict__["_known"] = known
-    if space is not None:
-        sample.__dict__["_test_space"] = space  # where the cached property keeps it
-    sample.__init__(ids, coords, tests, ortho_tol)
-    return sample
-
-
-def _parsed_sample(ts: TestSpace, coords: np.ndarray, ortho_tol: float) -> MetricSample:
-    """MetricSample(ts.outcomes, coords, ts.tests, ortho_tol) on the parsed
-    space: its battery reads the space's index and rows, and the space stays
-    the sample's to_test_space()."""
-    known = (ts._index, ts._rows, ts._row_array)
-    return _known_sample(ts.outcomes, coords, ts.tests, ortho_tol, known, ts)
+    return MetricSample._of_space(*parse_sample(tsp_text, coords_text), ortho_tol)

@@ -23,6 +23,7 @@ from .core import TestSpace, TspError, ValidationError
 from .metric import (
     MetricSample,
     VietorisBasicOpen,
+    _by_size,
     _open_members,
     _squared_distances,
     basic_open,
@@ -119,7 +120,7 @@ class ExtractionResult:
         """The selected tests with their points, ids in sorted order."""
         tests = self.tests
         ids = tuple(sorted(set().union(*tests)))
-        coords = self.sample.coords[[self.sample._index[x] for x in ids]]
+        coords = self.sample._points[[self.sample._space._index[x] for x in ids]]
         return MetricSample(ids, coords, tests, self.sample.ortho_tol)
 
     @property
@@ -160,11 +161,13 @@ class ExtractionResult:
 
 def _frame_points(sample: MetricSample) -> np.ndarray:
     """Sample coordinates grouped by test, shape (tests, size, dim); each
-    test's points in the order of its row, read through the sample's row
-    array."""
-    if sample._row_array is None:
+    test's points in the order of its row, read through the rows of the
+    sample's space."""
+    rows = sample._space._row_array
+    by_size = _by_size(sample._space._rows) if rows is None else {rows.shape[1]: rows}
+    if len(by_size) != 1:
         raise ValidationError("extraction needs tests of one common size")
-    return sample.coords[sample._row_array]
+    return sample._points[by_size.popitem()[1]]
 
 
 def _slots(sample: MetricSample) -> np.ndarray:

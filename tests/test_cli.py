@@ -404,6 +404,23 @@ def test_extract_resample_needs_header(capsys, tmp_path):
     assert "header" in err
 
 
+def test_negative_seed_is_an_input_error(capsys, tmp_path):
+    out_path = tmp_path / "neg.tsp"
+    code, out, err = run(capsys, "sample-frames", "-n", "3", "--seed", "-1", "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be at least 0, got -1\n"
+    assert not out_path.exists()
+    # a hand-edited header that _FRAME_HEADER reads: the resample refuses it
+    path = frames_file(capsys, tmp_path, n=8, seed=4)
+    text = (tmp_path / "frames.tsp").read_text()
+    (tmp_path / "frames.tsp").write_text(text.replace("seed=4", "seed=-1", 1))
+    code, out, err = run(capsys, "extract", path, "--basis", "auto:2", "--delta", "0.9",
+                         "--resample-factor", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be at least 0, got -1\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("factor", ["0", "-2"])
 def test_resample_factor_below_one_is_refused_before_reading(capsys, tmp_path, factor):
     missing = str(tmp_path / "missing.tsp")  # no file is read

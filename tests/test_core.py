@@ -428,7 +428,7 @@ def frozen_frame_points(sample):
     sizes = {len(t) for t in sample.tests}
     if len(sizes) != 1:
         raise ValidationError("extraction needs tests of one common size")
-    index = sample._index
+    index = {x: i for i, x in enumerate(sample.ids)}
     rows = np.array([index[x] for t in sample.tests for x in sorted(t)], dtype=np.intp)
     return sample.coords[rows.reshape(len(sample.tests), sizes.pop())]
 

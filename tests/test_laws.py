@@ -1,9 +1,13 @@
-"""Laws of the logic layer, checked through the public API only.
+"""Laws of the logic and sampling layers, checked through the public API only.
 
 The disjoint union A + B of two spaces (their outcomes renamed apart) has
 one shared empty event and glues the logics at 0 and 1: e(A + B) = e(A) +
 e(B) - 1; A + B is algebraic exactly when A and B are; and then
 |L(A + B)| = |L(A)| + |L(B)| - 2 (the horizontal sum).
+
+A longer frame draw extends a shorter one with the same seed, which
+`tsp extract --resample-factor` relies on: the first n frames of
+sample_frames(d, 2n, s) are sample_frames(d, n, s), bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from testspaces import (
     enumerate_events,
     is_algebraic,
     load_test_space,
+    sample_frames,
 )
 
 
@@ -108,3 +113,16 @@ def test_logic_of_an_algebraic_space_builds_no_event(monkeypatch):
     # the guard sees an Event when one is built
     enumerate_events(ts)
     assert built
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([3, 11]),  # from d = 11 on the ids are not sorted (f….10 before f….2)
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_longer_frame_draw_extends_a_shorter_one(d, n, seed):
+    short, long = sample_frames(d, n, seed), sample_frames(d, 2 * n, seed)
+    assert short.ids == long.ids[: n * d]
+    assert short.tests == long.tests[:n]
+    assert short.coords.tobytes() == long.coords[: n * d].tobytes()

@@ -471,9 +471,23 @@ def test_dense_table_cap_is_checked_before_allocating():
 # ------------------------------------- the four axioms, each checked once
 
 
+def test_disjoint_pairs_are_built_once_per_k():
+    a, b = logic_module._disjoint_pairs(3)
+    assert logic_module._disjoint_pairs(3)[0] is a and logic_module._disjoint_pairs(3)[1] is b
+    assert len(a) == 3**3 and not (a & b).any()
+    assert not (a.flags.writeable or b.flags.writeable)
+
+
+def sum_list(table):
+    """(p, q, p + q) of every defined sum of the table, row-major."""
+    ps, qs = np.nonzero(table >= 0)
+    return ps, qs, table[ps, qs]
+
+
 def frozen_verify_table(table, zero, one, what, names=None):
     """_verify_table with its mirrored association sweep and its checks of
-    the involution and the order; kept as the reference."""
+    the involution and the order; kept as the reference.  It returns the
+    sum list as _verify_table now does, so it can stand in for it."""
     n = len(table)
     label = (lambda i: names[i]) if names is not None else str
     every = np.arange(n)
@@ -493,8 +507,8 @@ def frozen_verify_table(table, zero, one, what, names=None):
         if self_sum[p]:
             fail(f"element {label(p)} summable with itself")
         fail(f"{label(p)} + 0 != {label(p)}")
-    triple = logic_module._association_failure(table)
-    mirrored = None if triple else logic_module._association_failure(table.T)
+    triple = logic_module._association_failure(table, sum_list(table))
+    mirrored = None if triple else logic_module._association_failure(table.T, sum_list(table.T))
     if mirrored:
         triple = mirrored[::-1]
     if triple:
@@ -540,7 +554,7 @@ def frozen_verify_table(table, zero, one, what, names=None):
                 "order disagrees with the complement criterion at "
                 f"({label(sl.start + p)}, {label(q)})"
             )
-    return ocomp, leq
+    return ocomp, leq, sum_list(table)
 
 
 def frozen_build_logic(ts):
@@ -563,12 +577,12 @@ def frozen_build_logic(ts):
 
 
 def verdict(verify, *args):
-    """The error text, or the (ocomp, leq) pair as lists."""
+    """The error text, or the complement, the order and the sum list as lists."""
     try:
-        ocomp, leq = verify(*args)
+        ocomp, leq, triples = verify(*args)
     except AxiomViolationError as exc:
         return str(exc)
-    return ocomp.tolist(), leq.tolist()
+    return ocomp.tolist(), leq.tolist(), [a.tolist() for a in triples]
 
 
 def assert_verifies_as_frozen(*args):

@@ -41,7 +41,7 @@ from testspaces.metric import (
     vietoris_member,
 )
 from testspaces.core import ParseError
-from testspaces.semiclassical import auto_basis
+from testspaces.semiclassical import auto_basis, extract_semiclassical
 
 from oracles import bottleneck_oracle, hausdorff_oracle
 from test_core import TRICKY_NAMES
@@ -726,7 +726,18 @@ def test_battery_equals_the_frozen_name_passes(d, count, fault, rnd):
     elif fault == "tilt":
         coords[rnd.randrange(len(coords))] += 1e-6
     args = (tuple(ids), coords, tuple(tests), metric_module.DEFAULT_ORTHO_TOL)
-    assert metric_module._battery(*args) == frozen_battery(*args)
+    rows, index, by_size, order = metric_module._battery(*args)
+    want_rows, want_index, want_test_rows = frozen_battery(*args)
+    assert rows == want_rows
+    if want_index is None:  # the frozen battery stopped at the shape
+        return
+    # the battery indexes the sorted ids; order takes a position back to ids
+    back = (lambda k: k) if order is None else order.__getitem__
+    assert {x: back(k) for x, k in index.items()} == want_index
+    assert (by_size is None) == (want_test_rows is None)
+    for k, part in (by_size or {}).items():
+        got = [tuple(map(back, r)) for r in part.tolist()]
+        assert got == [r for r in want_test_rows if len(r) == k]
 
 
 def test_battery_stops_at_a_bad_shape_and_at_unknown_ids():
@@ -1165,7 +1176,7 @@ def test_cardinality_constancy_rejects_non_events():
 
 
 def test_cardinality_constancy_builds_no_test_space(monkeypatch):
-    """Events are decided on the sample's own index and rows."""
+    """Events are decided on the one space the sample holds."""
     s = sample_frames(3, 40, seed=9)
     monkeypatch.setattr(TestSpace, "__post_init__", mock.Mock(side_effect=AssertionError))
     tests = [sorted(t) for t in s.tests]
@@ -1297,16 +1308,22 @@ def test_sample_frames_reproducible_prefix():
         assert small.ids == large.ids[: 10 * d]
         assert np.array_equal(small.coords, large.coords[: 10 * d])
         assert small.tests == large.tests[:10]
-        assert small._rows == large._rows[:10]
-        large.to_test_space()  # names its outcomes in sorted order, not the sample's
-        for s in (small, large):
-            assert s._rows == _index_rows(s._index, s.tests)
-            assert s._row_array.tolist() == [list(r) for r in s._rows]
-            assert s._index == {x: i for i, x in enumerate(s.ids)}
-        assert (small._row_array[0].tolist() == list(range(d))) == (d <= 10)
+        assert small._space._rows == large._space._rows[:10]
+        for s in (small, large):  # the space names its outcomes in sorted order
+            assert s.to_test_space() == TestSpace.build(s.ids, s.tests)
+            assert s._space._rows == _index_rows(s._space._index, s.tests)
+            assert s._space._row_array.tolist() == [list(r) for r in s._space._rows]
+            assert [s.index_of(x) for x in s.ids] == list(range(len(s.ids)))
+            assert np.array_equal(s._points, s.coords[list(map(s.index_of, s._space.outcomes))])
+            assert (s._order is None) == (s._points is s.coords) == (d <= 10)
         again = sample_frames(d, 10, seed=9)
         assert np.array_equal(small.coords, again.coords)
         assert not np.array_equal(small.coords, sample_frames(d, 10, seed=10).coords)
+
+
+def test_sample_frames_refuses_a_negative_seed():
+    with pytest.raises(ValidationError, match=r"^seed must be at least 0, got -1$"):
+        sample_frames(3, 2, -1)
 
 
 def test_sample_frames_are_rotations():
@@ -1434,7 +1451,7 @@ def test_save_load_roundtrip_is_exact(tmp_path):
 @example(d=11, count=5, seed=0, header="frames dim=11")
 @example(d=11, count=5, seed=1, header=None)
 def test_save_sample_writes_the_dump_of_its_space(tmp_path_factory, d, count, seed, header):
-    """The .tsp comes from the sample's own rows, with no TestSpace built,
+    """The .tsp is the dump of the sample's space, with no TestSpace built,
     for ids and tests in any order."""
     frames = sample_frames(d, count, seed)
     rng = np.random.default_rng(seed)
@@ -1462,7 +1479,7 @@ def test_ids_that_do_not_read_back_are_not_written(tmp_path, bad):
 
 def test_load_sample_builds_one_space_and_no_rows(tmp_path, monkeypatch):
     """The space parse_sample builds is the sample's own: its battery reads
-    that space's index and rows, and to_test_space() returns it."""
+    that space's rows, builds none by name, and to_test_space() returns it."""
     tsp, _ = save_sample(sample_frames(11, 6, seed=2), tmp_path / "s.tsp")
     built, rows_built = [], []
     init, index_rows = TestSpace.__post_init__, metric_module._index_rows
@@ -1480,9 +1497,48 @@ def test_load_sample_builds_one_space_and_no_rows(tmp_path, monkeypatch):
     for _ in range(2):
         built.clear()
         loaded = load_sample(tsp)
-        assert loaded.to_test_space() is built[0]
-        assert loaded._index is built[0]._index and loaded._rows is built[0]._rows
+        assert loaded.to_test_space() is built[0] and loaded._space is built[0]
+        assert {"_index", "_rows", "_row_array"}.isdisjoint(vars(loaded))
         assert len(built) == 1 and rows_built == []
+
+
+SAMPLE_MAKERS = ["frames d=3", "frames d=11", "load_sample", "MetricSample", "sub_sample"]
+
+
+@pytest.mark.parametrize("maker", SAMPLE_MAKERS)
+def test_each_sample_builds_one_space_and_no_second_index(tmp_path, monkeypatch, maker):
+    """However a sample is made, it builds exactly one TestSpace and keeps
+    no index or rows of its own: its positions, in either order, are read
+    off that space's index."""
+    frames = sample_frames(11, 6, seed=3)  # ids not sorted: f….10 before f….2
+    tsp, _ = save_sample(frames, tmp_path / "s.tsp")
+    result = extract_semiclassical(frames, auto_basis(frames, 3, 1.0))
+    makers = {
+        "frames d=3": lambda: sample_frames(3, 40, seed=3),
+        "frames d=11": lambda: sample_frames(11, 6, seed=3),
+        "load_sample": lambda: load_sample(tsp),
+        "MetricSample": lambda: MetricSample(frames.ids[::-1], frames.coords[::-1], frames.tests),
+        "sub_sample": lambda: result.sub_sample,
+    }
+    built = []
+    init = TestSpace.__post_init__
+
+    def counting(ts):
+        built.append(ts)
+        init(ts)
+
+    monkeypatch.setattr(TestSpace, "__post_init__", counting)
+    sample = makers[maker]()
+    assert len(built) == 1 and sample.to_test_space() is built[0] is sample._space
+    assert set(vars(sample)) == {"ids", "coords", "tests", "ortho_tol", "_space", "_order", "_points"}
+    space = sample._space
+    assert space.outcomes == tuple(sorted(sample.ids))
+    unsorted = list(sample.ids) != list(space.outcomes)
+    assert (sample._order is not None) == (sample._points is not sample.coords) == unsorted
+    at = [sample.index_of(x) for x in space.outcomes]
+    assert at == (sample._order.tolist() if unsorted else list(range(len(at))))
+    assert np.array_equal(sample._points, sample.coords[at])
+    assert len(built) == 1
 
 
 COORD_FAULTS = ["none", "norm", "tilt", "dim 1"]
@@ -1516,7 +1572,7 @@ def test_load_sample_equals_the_sample_of_its_parts(tmp_path_factory, d, count, 
     ))
     ts, pts = metric_module.parse_sample(path.read_text(), (path.parent / "s.coords").read_text())
     args = (ts.outcomes, pts, ts.tests, frames.ortho_tol)
-    assert metric_module._battery(*args, ts) == metric_module._battery(*args)
+    assert metric_module._space_battery(ts, pts, frames.ortho_tol) == metric_module._battery(*args)[0]
     try:
         want = MetricSample(*args)
     except ValidationError as exc:
@@ -1527,7 +1583,8 @@ def test_load_sample_equals_the_sample_of_its_parts(tmp_path_factory, d, count, 
     loaded = load_sample(path)
     assert loaded.ids == want.ids and loaded.tests == want.tests
     assert np.array_equal(loaded.coords, want.coords)
-    assert loaded._rows == want._rows and loaded._index == want._index
+    assert loaded._space._rows == want._space._rows
+    assert loaded._space._index == want._space._index
     assert loaded.to_test_space() == want.to_test_space()
 
 

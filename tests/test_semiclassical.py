@@ -237,29 +237,40 @@ def test_extraction_and_save_build_one_sub_space(tmp_path, monkeypatch):
 
 
 def test_one_index_per_sample_and_sub_sample_on_read(monkeypatch):
-    calls = []
+    """Each sample holds the one space built when it is made; the
+    extractions read its row array, and the sub-sample is built, with its
+    own single space, on first read."""
+    calls, built = [], []
+    init = TestSpace.__post_init__
 
     def counting(index, tests):
         calls.append(len(tests))
         return _index_rows(index, tests)
 
+    def counting_init(ts):
+        built.append(len(ts.tests))
+        init(ts)
+
     monkeypatch.setattr("testspaces.metric._index_rows", counting)
+    monkeypatch.setattr(TestSpace, "__post_init__", counting_init)
     small = sample_frames(3, 20, seed=4)
-    kept = small._row_array
+    kept = small._space._row_array
     basis = auto_basis(small, 5, delta=0.9)
     first = extract_semiclassical(small, basis, density_target=0.9)
     large = sample_frames(3, 40, seed=4)
     grown = extend_basis(large, basis, 5, delta=0.9)
     again = extract_semiclassical(large, grown, density_target=0.9)
-    # sample_frames builds each sample's rows once, in bulk, and the
-    # extractions read the kept row array: no row build by name
-    assert calls == []
-    assert small._row_array is kept and kept.shape == (20, 3)
+    # sample_frames hands its bulk rows to the one space it builds, and the
+    # extractions read that space's row array: no row build by name
+    assert calls == [] and built == [20, 40]
+    assert small._space._row_array is kept and kept.shape == (20, 3)
+    assert small.to_test_space() is small._space
     assert "sub_sample" not in again.__dict__
     sub = again.sub_sample
     assert again.__dict__["sub_sample"] is sub
-    assert calls == [len(again.selected)]  # the sub-sample's battery, on read
-    assert again.sub_test_space is sub.to_test_space()
+    n = len(again.selected)
+    assert calls == [n] and built == [20, 40, n]  # the sub-sample's battery and space, on read
+    assert again.sub_test_space is sub.to_test_space() is sub._space
     assert again.tests == sub.tests == tuple(large.tests[k] for k in again.selected)
     assert first.sample is small and again.sample is large
 
