@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_EVENT_CAP,
     TestSpace,
     TspError,
+    _read_text,
     load_test_space,
 )
 from .logic import (
@@ -79,10 +80,7 @@ def _emit(rows, fmt: str) -> None:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    return _read_text(path) if path != "-" else _read_text("stdin", sys.stdin.buffer.read())
 
 
 def _load_space(path: str) -> TestSpace:

@@ -16,6 +16,7 @@ ascending indices of its members: the one member order every layer reads.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,6 +49,10 @@ class UnknownOutcomeError(TspError):
     """An outcome id is not part of the space."""
 
 
+class EncodingError(TspError):
+    """The bytes of an input are not UTF-8 text."""
+
+
 class CapExceededError(TspError):
     """An exhaustive enumeration would exceed its configured cap."""
 
@@ -58,6 +63,20 @@ class CapExceededError(TspError):
 
 
 _TOKEN = re.compile(r"\S+")
+
+
+def _read_text(path, data: bytes | None = None) -> str:
+    """The file at path, or the bytes `data` read from it, as UTF-8 text with
+    universal newlines, as a text-mode read gives it; bytes that are not
+    UTF-8 raise EncodingError naming the file and the offset."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{os.fspath(path)}: not UTF-8 text at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _lines(text: str):
@@ -167,11 +186,12 @@ def _tests_containing(ts: TestSpace, m: frozenset[str]):
     if not m:
         yield from range(len(ts.tests))
         return
+    indptr, holders = ts._incidence
     try:
-        fewest = min((ts._containing[x] for x in m), key=len)
+        k = min([ts._index[x] for x in m], key=lambda k: indptr[k + 1] - indptr[k])
     except KeyError:
         return
-    for i in fewest:
+    for i in holders[indptr[k] : indptr[k + 1]]:
         if m <= ts.tests[i]:
             yield i
 
@@ -187,7 +207,8 @@ class TestSpace:
     `_row_array` (None for mixed sizes), and `_rows` is read off it on first
     use; a space it refuses goes through the per-test pass, which names the
     first fault.  `_row_space` hands in an index and a row array already
-    built, which the same checks then read.
+    built, which the same checks then read.  The transpose of the rows,
+    `_incidence`, and the components read off it are built on first read.
     """
 
     outcomes: tuple[str, ...]
@@ -247,19 +268,45 @@ class TestSpace:
         return TestSpace(tuple(sorted(outcomes)), tuple(frozenset(t) for t in tests))
 
     @cached_property
-    def _containing(self) -> dict[str, tuple[int, ...]]:
-        """Outcome id -> ascending indices of the tests that contain it; outcomes
-        held by the same tests share one tuple (one per test when disjoint)."""
-        idx: list[list[int]] = [[] for _ in self.outcomes]
-        for i, row in enumerate(self._rows):
-            for k in row:
-                idx[k].append(i)
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        return {x: shared.setdefault(t, t) for x, t in zip(self.outcomes, map(tuple, idx))}
+    def _incidence(self) -> tuple[list[int], list[int]]:
+        """(indptr, holders): the tests holding outcome k are
+        holders[indptr[k] : indptr[k + 1]], ascending; the transpose of the
+        rows, built on first read by one stable argsort of them laid flat."""
+        array = self._row_array
+        if array is None:
+            flat = np.fromiter(itertools.chain.from_iterable(self._rows), np.intp)
+            test = np.repeat(np.arange(len(self._rows)), list(map(len, self._rows)))
+        else:
+            flat = array.ravel()
+            test = np.arange(flat.size) // array.shape[1]
+        indptr = np.concatenate(([0], np.bincount(flat, minlength=len(self.outcomes)).cumsum()))
+        return indptr.tolist(), test[np.argsort(flat, kind="stable")].tolist()
 
     @cached_property
     def test_set(self) -> frozenset[frozenset[str]]:
         return frozenset(self.tests)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """core.components, once per instance: a walk over the incidence from
+        each test that no walk has reached yet, in test order."""
+        indptr, holders = self._incidence
+        reached, seen = bytearray(len(self.tests)), bytearray(len(self.outcomes))
+        found = []
+        for start in range(len(self.tests)):
+            if not reached[start]:
+                reached[start], tests, outs = 1, [start], []
+                for i in tests:  # grows as the walk reaches tests
+                    for k in self._rows[i]:
+                        if not seen[k]:
+                            seen[k] = 1
+                            outs.append(k)
+                            for j in holders[indptr[k] : indptr[k + 1]]:
+                                if not reached[j]:
+                                    reached[j] = 1
+                                    tests.append(j)
+                found.append((tuple(sorted(outs)), tuple(sorted(tests))))
+        return tuple(found)
 
     @cached_property
     def _state_solution(self):
@@ -326,9 +373,11 @@ class TestSpace:
     def containing(self, outcome: str) -> frozenset[int]:
         """Indices of the tests that contain the given outcome."""
         try:
-            return frozenset(self._containing[outcome])
+            k = self._index[outcome]
         except KeyError:
             raise UnknownOutcomeError(f"unknown outcome {outcome!r}") from None
+        indptr, holders = self._incidence
+        return frozenset(holders[indptr[k] : indptr[k + 1]])
 
 
 @dataclass(frozen=True)
@@ -373,37 +422,17 @@ def as_event(ts: TestSpace, members: EventLike) -> Event:
 
 def orthogonal(ts: TestSpace, x: str, y: str) -> bool:
     """Outcomes are orthogonal iff distinct and contained in a common test."""
-    if x == y:
-        ts.containing(x)  # still validate the id
-        return False
-    return bool(ts.containing(x) & ts.containing(y))
+    tests = ts.containing(x)  # validates x also where y is x
+    return x != y and not tests.isdisjoint(ts.containing(y))
 
 
 def components(ts: TestSpace) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The connected components: tests joined whenever they share an outcome.
 
     Each component is (outcome indices, test indices), both ascending, and
-    the components come in the order of their first tests.
-    """
-    parent = list(range(len(ts.outcomes)))  # union-find over the outcomes
-
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for row in ts._rows:
-        for k in row[1:]:
-            a, b = find(row[0]), find(k)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i, row in enumerate(ts._rows):
-        groups.setdefault(find(row[0]), ([], []))[1].append(i)
-    for k in range(len(ts.outcomes)):
-        groups[find(k)][0].append(k)
-    return [(tuple(outs), tuple(tests)) for outs, tests in groups.values()]
+    the components come in the order of their first tests; a space finds
+    them once."""
+    return list(ts._components)
 
 
 def _check_event_cap(ts: TestSpace, cap: int) -> None:
@@ -447,12 +476,12 @@ def perspective(ts: TestSpace, a: EventLike, b: EventLike) -> bool:
 
 
 def redundant_test_pairs(ts: TestSpace) -> tuple[tuple[int, int], ...]:
-    """Diagnostic: pairs (i, j) where test i is a proper subset of test j."""
-    out = []
-    for i, j in itertools.permutations(range(len(ts.tests)), 2):
-        if ts.tests[i] < ts.tests[j]:
-            out.append((i, j))
-    return tuple(sorted(out))
+    """Diagnostic: pairs (i, j) where test i is a proper subset of test j.
+
+    The tests are distinct, so every other test holding all of test i is one."""
+    return tuple(
+        (i, j) for i, test in enumerate(ts.tests) for j in _tests_containing(ts, test) if j != i
+    )
 
 
 def load_test_space(text: str) -> TestSpace:

@@ -32,6 +32,7 @@ from .core import (
     _grid,
     _index_rows,
     _lines,
+    _read_text,
     _repeats,
     _row_space,
     dump_test_space,
@@ -117,6 +118,7 @@ def _space_battery(space: TestSpace, points: np.ndarray, ortho_tol):
     return _rows(n, n, points, len(space.tests), by_size, ortho_tol)
 
 
+@np.errstate(all="ignore")  # non-finite coordinates fail their rows, silently
 def _rows(n, distinct, coords, count, by_size, ortho_tol, order=None):
     """The battery's rows for n ids, `distinct` of them distinct, their
     coordinates and `count` tests, given by size as rows of positions, which
@@ -149,7 +151,8 @@ def _rows(n, distinct, coords, count, by_size, ortho_tol, order=None):
         if k > 1:
             pts = coords[part if order is None else order[part]]
             g = pts @ pts.transpose(0, 2, 1)
-            worst = max(worst, float(np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
+            # np.maximum keeps a nan product, which fails the row
+            worst = float(np.maximum(worst, np.abs(g[:, ~np.eye(k, dtype=bool)]).max()))
     rows.append(("in-test-orthogonality", worst <= thr,
                  f"max |inner| {worst:.3e} vs {thr:.3e}"))
     return rows
@@ -1005,8 +1008,5 @@ def load_sample(tsp_path, coords_path=None, ortho_tol: float = DEFAULT_ORTHO_TOL
     tsp_path = os.fspath(tsp_path)
     if coords_path is None:
         coords_path = sidecar_path(tsp_path)
-    with open(tsp_path) as fh:
-        tsp_text = fh.read()
-    with open(coords_path) as fh:
-        coords_text = fh.read()
-    return MetricSample._of_space(*parse_sample(tsp_text, coords_text), ortho_tol)
+    ts, points = parse_sample(_read_text(tsp_path), _read_text(coords_path))
+    return MetricSample._of_space(ts, points, ortho_tol)

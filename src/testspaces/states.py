@@ -27,7 +27,6 @@ from .core import (
     TestSpace,
     UnknownOutcomeError,
     ValidationError,
-    components,
     member_set,
 )
 
@@ -217,7 +216,7 @@ def _solve_states(ts: TestSpace):
     duals = [_ZERO] * len(ts.tests)
     column = [0] * len(ts.outcomes)  # each outcome's column in its component
     feasible = True
-    for out_idx, test_idx in components(ts):
+    for out_idx, test_idx in ts._components:
         for j, k in enumerate(out_idx):
             column[k] = j
         x, y = _phase1_simplex(len(out_idx), [[column[k] for k in ts._rows[i]] for i in test_idx])
@@ -257,8 +256,9 @@ def infeasibility_certificate(ts: TestSpace) -> dict[int, Fraction] | None:
 def check_certificate(ts: TestSpace, cert: Mapping[int, Fraction]) -> bool:
     """Re-check an infeasibility certificate with exact arithmetic only."""
     y = [Fraction(cert.get(i, 0)) for i in range(len(ts.tests))]
-    for x in ts.outcomes:
-        if sum(y[i] for i in ts._containing[x]) > 0:
+    indptr, holders = ts._incidence
+    for a, b in zip(indptr, indptr[1:]):  # the tests holding each outcome
+        if sum(y[i] for i in holders[a:b]) > 0:
             return False
     return sum(y) > 0
 
@@ -317,7 +317,7 @@ def _search_components(ts: TestSpace) -> list[list[int]]:
     mask per component compares the value tuples over `ts.outcomes`.
     """
     n = len(ts.outcomes)
-    return [_df_masks([ts._rows[i] for i in tests], n) for _outs, tests in components(ts)]
+    return [_df_masks([ts._rows[i] for i in tests], n) for _outs, tests in ts._components]
 
 
 def _check_df_cap(ts: TestSpace, cap: int) -> None:
@@ -335,22 +335,15 @@ def dispersion_free_states(ts: TestSpace, cap: int = DEFAULT_DF_CAP) -> list[Sta
     count of the whole space.
     """
     _check_df_cap(ts, cap)
-    n = len(ts.outcomes)
-    # Per byte of a mask, low byte first, and per value of that byte, the
-    # outcomes it sets to one (outcome k owns bit n-1-k); filled as needed.
-    tables: list[list[dict[str, Fraction] | None]] = [[None] * 256 for _ in range(0, n, 8)]
     zero = dict.fromkeys(ts.outcomes, _ZERO)
+    names = ts.outcomes[::-1]  # names[b] owns bit b
     out = []
     for mask in sorted(map(sum, itertools.product(*ts._df_components))):
         values = zero.copy()
-        for lo, table in zip(range(0, n, 8), tables):
-            byte = mask >> lo & 255
-            ones = table[byte]
-            if ones is None:
-                ones = table[byte] = {
-                    ts.outcomes[n - 1 - lo - k]: _ONE for k in range(8) if byte >> k & 1
-                }
-            values.update(ones)
+        while mask:
+            low = mask & -mask
+            values[names[low.bit_length() - 1]] = _ONE
+            mask ^= low
         out.append(State(values, "exact"))
     return out
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import re
+import warnings
 from functools import cached_property
 from pathlib import Path
 
@@ -34,6 +35,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdin_of(data: bytes):
+    """A stand-in for sys.stdin over `data`: a text stream with the bytes
+    under it, as at a console."""
+    return io.TextIOWrapper(io.BytesIO(data))
 
 
 def machine_rows(out: str) -> dict[str, str]:
@@ -142,7 +149,7 @@ def test_info_over_the_event_cap_exits_2(capsys, tmp_path):
 
 
 def test_info_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(corpus.gen("mo2")))
+    monkeypatch.setattr("sys.stdin", stdin_of(corpus.gen("mo2").encode()))
     code, out, _ = run(capsys, "--format", "machine", "info", "-")
     assert code == 0
     assert machine_rows(out)["outcomes"] == "4"
@@ -194,7 +201,7 @@ def test_logic_over_dense_table_cap_is_an_input_error(capsys, tmp_path):
 
 
 def test_states_triangle_with_dispersion_free(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(corpus.gen("triangle")))
+    monkeypatch.setattr("sys.stdin", stdin_of(corpus.gen("triangle").encode()))
     code, out, _ = run(
         capsys, "--format", "machine", "--strict", "states", "--dispersion-free", "-"
     )
@@ -314,13 +321,13 @@ def test_space_from_stdin_needs_coords(capsys, tmp_path, monkeypatch):
     path = frames_file(capsys, tmp_path)
     text = Path(path).read_text()
     for argv in (["metric", "check", "-"], ["extract", "-", "--basis", "auto:2"]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text.encode()))
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "a space read from stdin needs --coords" in err
     coords = str(tmp_path / "frames.coords")
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin_of(text.encode()))
     code, out, _ = run(capsys, "--format", "machine", "metric", "check", "-", "--coords", coords)
     assert code == 0
     assert set(machine_rows(out).values()) == {"ok"}
@@ -549,6 +556,63 @@ def test_parse_errors_carry_positions(capsys, tmp_path):
     code, _, err = run(capsys, "info", str(path))
     assert code == 2
     assert "line 1" in err
+
+
+# 18 bytes of UTF-8 (é takes two), then byte 18, which no UTF-8 text holds
+NOT_UTF8 = "outcomes a b # é\n".encode() + b"\xff test a b\n"
+
+
+def test_non_utf8_files_are_input_errors_naming_file_and_byte(capsys, tmp_path):
+    sample = frames_file(capsys, tmp_path)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    readers = [
+        ["info", str(bad)],
+        ["logic", str(bad)],
+        ["states", str(bad)],
+        ["oa", str(bad)],
+        ["metric", "check", str(bad), "--coords", str(tmp_path / "frames.coords")],
+        ["metric", "check", sample, "--coords", str(bad)],  # the sidecar
+        ["extract", sample, "--basis", f"file:{bad}"],
+    ]
+    for argv in readers:
+        for strict in ([], ["--strict"]):
+            code, out, err = run(capsys, *strict, *argv)
+            assert (code, out, err) == (2, "", f"error: {bad}: not UTF-8 text at byte 18\n"), argv
+
+
+def test_non_utf8_stdin_is_an_input_error(capsys, tmp_path, monkeypatch):
+    sample = frames_file(capsys, tmp_path)
+    coords = str(tmp_path / "frames.coords")
+    for argv in (["info", "-"], ["oa", "-"], ["metric", "check", "-", "--coords", coords]):
+        monkeypatch.setattr("sys.stdin", stdin_of(NOT_UTF8))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: stdin: not UTF-8 text at byte 18\n"), argv
+    # stdin's bytes read as a file's text: UTF-8, with universal newlines
+    text = Path(sample).read_text()
+    monkeypatch.setattr("sys.stdin", stdin_of(text.replace("\n", "\r\n").encode()))
+    assert run(capsys, "metric", "check", "-", "--coords", coords) == run(capsys, "metric", "check", sample)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e200"])
+def test_metric_check_fails_non_finite_coordinates_without_warnings(capsys, tmp_path, value):
+    path = frames_file(capsys, tmp_path)
+    coords = tmp_path / "frames.coords"
+    lines = coords.read_text().splitlines()
+    first = lines[0].split()
+    first[2] = value
+    lines[0] = " ".join(first)
+    coords.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+        code, out, err = run(capsys, "--format", "machine", "metric", "check", path)
+        assert (code, err) == (0, "")
+        assert run(capsys, "--strict", "metric", "check", path)[0] == 1
+    rows = machine_rows(out)
+    assert rows["unit-norm"].startswith("fail")
+    assert rows["in-test-orthogonality"].startswith("fail (max |inner| ")
+    if value == "nan":
+        assert rows["in-test-orthogonality"] == "fail (max |inner| nan vs 1.000e-09)"
 
 
 # ---------------------------------------------------------------- golden

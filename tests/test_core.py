@@ -4,6 +4,7 @@ import itertools
 import random
 from collections import defaultdict
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from testspaces.core import (
     ValidationError,
     _column,
     _lines,
+    _tests_containing,
     as_event,
     complementary,
     complements_of,
@@ -36,6 +38,7 @@ from testspaces.core import (
 )
 from testspaces.metric import MetricSample, sample_frames
 from testspaces.semiclassical import _frame_points, overlapping_tests
+from testspaces.states import check_certificate, infeasibility_certificate
 
 from oracles import brute_events
 
@@ -302,8 +305,8 @@ def frozen_complements_of(ts, m):
 def outcome_or_error(f, *args):
     try:
         return f(*args)
-    except ValidationError as exc:
-        return ("error", str(exc))
+    except (ValidationError, UnknownOutcomeError) as exc:
+        return (type(exc), str(exc))
 
 
 @settings(max_examples=80, deadline=None)
@@ -472,6 +475,128 @@ def test_row_layout_equals_the_name_level_reference(rnd):
         tuple(frozenset(rename[x] for x in t) for t in frames.tests),
     )
     assert np.array_equal(_frame_points(sample), frozen_frame_points(sample))
+
+
+# ------------------------------------------- the outcome -> tests incidence
+
+# The membership readers as they ran on `TestSpace._containing`, a dict from
+# outcome name to the tuple of its tests (outcomes held by the same tests
+# sharing one tuple), and `redundant_test_pairs` over every ordered pair of
+# tests, before both read the one incidence; kept as the reference, with
+# `frozen_components`, the union-find, above.
+
+
+def frozen_containing_index(ts):
+    idx = [[] for _ in ts.outcomes]
+    for i, row in enumerate(ts._rows):
+        for k in row:
+            idx[k].append(i)
+    shared = {}
+    return {x: shared.setdefault(t, t) for x, t in zip(ts.outcomes, map(tuple, idx))}
+
+
+def frozen_tests_containing(ts, m):
+    if not m:
+        return list(range(len(ts.tests)))
+    containing = frozen_containing_index(ts)
+    try:
+        fewest = min((containing[x] for x in m), key=len)
+    except KeyError:
+        return []
+    return [i for i in fewest if m <= ts.tests[i]]
+
+
+def frozen_containing(ts, x):
+    try:
+        return frozenset(frozen_containing_index(ts)[x])
+    except KeyError:
+        raise UnknownOutcomeError(f"unknown outcome {x!r}") from None
+
+
+def frozen_orthogonal(ts, x, y):
+    if x == y:
+        frozen_containing(ts, x)
+        return False
+    return bool(frozen_containing(ts, x) & frozen_containing(ts, y))
+
+
+def frozen_check_certificate(ts, cert):
+    containing = frozen_containing_index(ts)
+    y = [Fraction(cert.get(i, 0)) for i in range(len(ts.tests))]
+    for x in ts.outcomes:
+        if sum(y[i] for i in containing[x]) > 0:
+            return False
+    return sum(y) > 0
+
+
+def frozen_redundant_test_pairs(ts):
+    out = []
+    for i, j in itertools.permutations(range(len(ts.tests)), 2):
+        if ts.tests[i] < ts.tests[j]:
+            out.append((i, j))
+    return tuple(sorted(out))
+
+
+def with_nested_tests(ts, rnd):
+    """ts plus proper subsets of some of its tests, in shuffled test order."""
+    tests = set(ts.tests)
+    for test in rnd.sample(ts.tests, rnd.randint(0, len(ts.tests))):
+        if len(test) > 1:
+            tests.add(frozenset(rnd.sample(sorted(test), rnd.randint(1, len(test) - 1))))
+    tests = sorted(tests, key=sorted)
+    rnd.shuffle(tests)
+    return TestSpace.build(ts.outcomes, tests)
+
+
+def assert_incidence_as_frozen(ts, rnd):
+    xs = [*ts.outcomes, "zz"]
+    for x in xs:
+        assert outcome_or_error(ts.containing, x) == outcome_or_error(frozen_containing, ts, x)
+    for _ in range(12):
+        x, y = rnd.choice(xs), rnd.choice(xs)
+        assert outcome_or_error(orthogonal, ts, x, y) == outcome_or_error(frozen_orthogonal, ts, x, y)
+    draws = [frozenset(), frozenset({"zz"}), *ts.tests[:3]]
+    for _ in range(12):
+        test = sorted(rnd.choice(ts.tests))
+        draws.append(frozenset(rnd.sample(test, rnd.randint(1, len(test)))))
+        draws.append(frozenset(rnd.sample(xs, rnd.randint(1, min(4, len(xs))))))
+    for m in draws:
+        found = frozen_tests_containing(ts, m)
+        assert list(_tests_containing(ts, m)) == found
+        assert is_event(ts, m) == bool(found)
+        assert outcome_or_error(as_event, ts, m) == (
+            Event(m, found[0]) if found else (ValidationError, f"{sorted(m)} is not a subset of any test")
+        )
+        assert complements_of(ts, m) == frozenset(ts.tests[i] - m for i in found)
+    assert components(ts) == frozen_components(ts)
+    assert redundant_test_pairs(ts) == frozen_redundant_test_pairs(ts)
+    certs = [{}, {i: Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)) for i in range(len(ts.tests))}]
+    refutation = infeasibility_certificate(ts) if len(ts.tests) < 60 else None
+    if refutation is not None:
+        nudged = dict(refutation)
+        nudged[rnd.randrange(len(ts.tests))] += Fraction(rnd.choice([-1, 1]), 7)
+        certs += [refutation, nudged]
+    for cert in certs:
+        assert check_certificate(ts, cert) == frozen_check_certificate(ts, cert)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_incidence_readers_equal_the_frozen_containing_dict(rnd):
+    """Mixed sizes and shared outcomes, names whose sort order is not their
+    drawn order (a10 < a9), nested tests, one size over at least 32 tests
+    (the row array), and frame samples for d = 3 and d = 11."""
+    mixed = corpus.random_test_space(rnd, max_universe=12, max_tests=8, min_size=1, max_size=5)
+    assert_incidence_as_frozen(renamed(with_nested_tests(mixed, rnd), rnd), rnd)
+    assert_incidence_as_frozen(renamed(corpus.random_semiclassical(rnd), rnd), rnd)
+    assert_incidence_as_frozen(with_nested_tests(load_test_space(corpus.gen("stateless")), rnd), rnd)
+    names = rnd.sample(TRICKY_NAMES, 12)
+    tests = rnd.sample(list(itertools.combinations(names, 3)), rnd.randint(32, 60))
+    uniform = TestSpace.build(set().union(*tests), tests)
+    assert uniform._row_array is not None
+    assert_incidence_as_frozen(uniform, rnd)
+    for d, count in ((3, rnd.randint(1, 40)), (11, rnd.randint(1, 4))):
+        assert_incidence_as_frozen(sample_frames(d, count, rnd.randrange(1000)).to_test_space(), rnd)
 
 
 # ------------------------------------------- the one checking pass of a space

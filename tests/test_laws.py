@@ -5,9 +5,19 @@ one shared empty event and glues the logics at 0 and 1: e(A + B) = e(A) +
 e(B) - 1; A + B is algebraic exactly when A and B are; and then
 |L(A + B)| = |L(A)| + |L(B)| - 2 (the horizontal sum).
 
+The states of A + B are those of A beside those of B: a state exists
+exactly when A and B both have one, the 0/1 states number the product of
+theirs, and the components of A + B are A's, then B's, shifted past A's
+outcomes and tests.
+
 A longer frame draw extends a shorter one with the same seed, which
 `tsp extract --resample-factor` relies on: the first n frames of
 sample_frames(d, 2n, s) are sample_frames(d, n, s), bit for bit.
+
+Flipping the sign of coordinate axes changes no product of coordinates and
+no difference's square, so the geometry reads the same floats: orthogonal
+pairs, TNO radii, rank bounds and their refusals, and the Hausdorff distance
+on its grid path come out bit for bit as before.
 """
 
 from __future__ import annotations
@@ -16,22 +26,32 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_NAMES
 from testspaces import (
     Event,
+    MetricSample,
+    NotTotallyNonOrthogonalError,
     TestSpace,
     build_logic,
     check_prop04,
     corpus,
     dump_test_space,
+    dispersion_free_states,
     enumerate_events,
+    find_state,
+    hausdorff_distance,
     is_algebraic,
     load_test_space,
+    rank_bound,
     sample_frames,
+    tno_radius,
 )
+from testspaces.core import components
+from testspaces.states import DEFAULT_DF_CAP
 
 
 def disjoint_union(a: TestSpace, b: TestSpace) -> TestSpace:
@@ -62,6 +82,33 @@ def test_disjoint_union_laws_on_random_draws(rnd, name):
     b = corpus.random_test_space(rnd, max_universe=9, max_tests=4, max_size=4)
     assert_union_laws(a, b)
     assert_union_laws(a, load_test_space(corpus.gen(name)))
+
+
+def assert_union_state_laws(a: TestSpace, b: TestSpace) -> None:
+    ab = disjoint_union(a, b)
+    assert (find_state(ab) is not None) == (find_state(a) is not None and find_state(b) is not None)
+    shift = [
+        (tuple(k + len(a.outcomes) for k in outs), tuple(i + len(a.tests) for i in tests))
+        for outs, tests in components(b)
+    ]
+    assert components(ab) == components(a) + shift
+    if len(ab.outcomes) <= DEFAULT_DF_CAP:
+        count = len(dispersion_free_states(a)) * len(dispersion_free_states(b))
+        assert len(dispersion_free_states(ab)) == count
+
+
+def test_disjoint_union_state_laws_on_corpus_pairs(spaces):
+    for x, y in itertools.product(CORPUS_NAMES, repeat=2):
+        assert_union_state_laws(spaces[x], spaces[y])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(CORPUS_NAMES))
+def test_disjoint_union_state_laws_on_random_draws(rnd, name):
+    a = corpus.random_test_space(rnd, max_universe=9, max_tests=5, min_size=1, max_size=4)
+    b = corpus.random_test_space(rnd, max_universe=9, max_tests=5, min_size=1, max_size=4)
+    assert_union_state_laws(a, b)
+    assert_union_state_laws(load_test_space(corpus.gen(name)), b)
 
 
 def frozen_table_digest(logic) -> str:
@@ -126,3 +173,40 @@ def test_a_longer_frame_draw_extends_a_shorter_one(d, n, seed):
     assert short.ids == long.ids[: n * d]
     assert short.tests == long.tests[:n]
     assert short.coords.tobytes() == long.coords[: n * d].tobytes()
+
+
+def flipped(sample: MetricSample, signs: np.ndarray) -> MetricSample:
+    return MetricSample(sample.ids, sample.coords * signs, sample.tests, sample.ortho_tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 11]),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sign_flips_of_axes_keep_the_geometry_bit_identical(d, n, seed):
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=d)
+    signs[rng.integers(d)] = -1.0  # at least one axis flips
+    s = sample_frames(d, n, seed)
+    f = flipped(s, signs)
+    assert f.orthogonal_pair_indices.tobytes() == s.orthogonal_pair_indices.tobytes()
+    for x in rng.choice(s.ids, size=5).tolist():
+        assert tno_radius(f, x) == tno_radius(s, x)
+    for radius in (0.3, 0.7, 1.5):  # the widest caps hold orthogonal pairs
+        got = []
+        for sample in (s, f):
+            try:
+                got.append(rank_bound(sample, radius))
+            except NotTotallyNonOrthogonalError as exc:
+                got.append((exc.center, exc.pair))
+        assert got[0] == got[1]
+    if d <= 5:
+        assert_hausdorff_keeps_its_bits(signs, rng)
+
+
+def assert_hausdorff_keeps_its_bits(signs: np.ndarray, rng: np.random.Generator) -> None:
+    pts = rng.standard_normal((1200, len(signs)))
+    a, b = pts[:500], pts[500:]
+    assert hausdorff_distance(a * signs, b * signs) == hausdorff_distance(a, b)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from testspaces import metric as metric_module
 from testspaces.core import (
+    EncodingError,
     TestSpace,
     UnknownOutcomeError,
     ValidationError,
@@ -45,6 +47,7 @@ from testspaces.semiclassical import auto_basis, extract_semiclassical
 
 from oracles import bottleneck_oracle, hausdorff_oracle
 from test_core import TRICKY_NAMES
+from test_laws import assert_hausdorff_keeps_its_bits
 
 E1, E2, E3 = np.eye(3)
 ROOT2 = math.sqrt(2.0)
@@ -796,6 +799,32 @@ def test_in_test_orthogonality_reports_worst_like_frozen_loop():
     assert rows[-1] == frozen
     assert not frozen[1]
     assert frozen[2].startswith("max |inner| 1.6")
+
+
+def test_the_hausdorff_sign_flip_law_runs_on_the_grid_path(monkeypatch):
+    calls = []
+    scan = metric_module._farthest_nearest
+    monkeypatch.setattr(metric_module, "_farthest_nearest", lambda *args: calls.append(1) or scan(*args))
+    assert_hausdorff_keeps_its_bits(np.array([-1.0, 1.0, -1.0]), np.random.default_rng(0))
+    assert len(calls) == 4  # both directions, both sign patterns
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
+def test_non_finite_coordinates_fail_the_battery_without_warnings(value):
+    s = sample_frames(3, 4, seed=1)
+    coords = s.coords.copy()
+    coords[4, 1] = value  # frame 1's second point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning raises
+        rows = check_sample_invariants(s.ids, coords, s.tests, s.ortho_tol)
+        with pytest.raises(ValidationError, match="unit-norm"):
+            MetricSample(s.ids, coords, s.tests)
+    rows = {name: (ok, detail) for name, ok, detail in rows}
+    assert not rows["unit-norm"][0]
+    ok, detail = rows["in-test-orthogonality"]
+    assert not ok
+    if math.isnan(value):
+        assert detail == "max |inner| nan vs 1.000e-09"
 
 
 # -------------------------------------------------------------- tno radius
@@ -1595,6 +1624,25 @@ def test_load_sample_reports_missing_coordinates(tmp_path):
     (tmp_path / "s.coords").write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValidationError, match="missing"):
         load_sample(tsp)
+
+
+def test_load_sample_refuses_bytes_that_are_not_utf8(tmp_path):
+    tsp, coords = save_sample(sample_frames(2, 2, seed=0), tmp_path / "s.tsp")
+    good = {path: (tmp_path / path).read_bytes() for path in ("s.tsp", "s.coords")}
+    want = load_sample(tsp)
+    for path, data in good.items():
+        at = data.index(b"\n") + 3
+        (tmp_path / path).write_bytes(data[:at] + b"\xfe" + data[at:])
+        with pytest.raises(EncodingError) as exc:
+            load_sample(tsp)
+        assert str(exc.value) == f"{tmp_path / path}: not UTF-8 text at byte {at}"
+        (tmp_path / path).write_bytes(data)
+    # CRLF lines read as a text-mode open() reads them
+    for path, data in good.items():
+        (tmp_path / path).write_bytes(data.replace(b"\n", b"\r\n"))
+    loaded = load_sample(tsp)
+    assert (loaded.ids, loaded.tests) == (want.ids, want.tests)
+    assert loaded.coords.tobytes() == want.coords.tobytes()
 
 
 @pytest.mark.parametrize(

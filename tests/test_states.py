@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +42,7 @@ from testspaces.states import (
 )
 
 from oracles import certificate_refutes, df_states_oracle
+from test_cli import STATELESS_AND_TRIANGLE
 
 F = Fraction
 
@@ -658,6 +660,56 @@ def test_bitmask_search_on_the_1100_test_component():
     chosen = random.Random(0).sample(subsets, 1100)
     ts = TestSpace.build(["s", *others], [("s", *c) for c in chosen])
     assert_df_matches_frozen(ts)
+
+
+def frozen_byte_table_listing(ts):
+    """`dispersion_free_states` as it listed the states through per-byte
+    tables of the outcomes each byte value sets to one, before it set the
+    mask's bits one by one; kept as the reference."""
+    n = len(ts.outcomes)
+    tables = [[None] * 256 for _ in range(0, n, 8)]
+    zero = dict.fromkeys(ts.outcomes, states_module._ZERO)
+    out = []
+    for mask in sorted(map(sum, itertools.product(*ts._df_components))):
+        values = zero.copy()
+        for lo, table in zip(range(0, n, 8), tables):
+            byte = mask >> lo & 255
+            ones = table[byte]
+            if ones is None:
+                ones = table[byte] = {
+                    ts.outcomes[n - 1 - lo - k]: states_module._ONE for k in range(8) if byte >> k & 1
+                }
+            values.update(ones)
+        out.append(State(values, "exact"))
+    return out
+
+
+def test_listing_by_set_bits_equals_the_frozen_byte_tables():
+    """400 draws of up to 24 outcomes, up to three components, interleaved ids."""
+    rng = random.Random(27)
+    for _ in range(400):
+        draws = [corpus.random_test_space(rng, max_universe=8, max_tests=5, min_size=1, max_size=4)
+                 for _ in range(rng.randint(1, 3))]
+        ts = disjoint_union(draws, rng)
+        got, want = dispersion_free_states(ts), frozen_byte_table_listing(ts)
+        assert [list(s.values.items()) for s in got] == [list(s.values.items()) for s in want]
+        assert all(s.kind == "exact" for s in got)
+
+
+def test_a_space_builds_its_components_once(monkeypatch):
+    builds = []
+    walk = TestSpace._components.func
+    counted = cached_property(lambda ts: builds.append(ts) or walk(ts))
+    counted.__set_name__(TestSpace, "_components")
+    monkeypatch.setattr(TestSpace, "_components", counted)
+    for ts in (load_test_space(STATELESS_AND_TRIANGLE), sample_frames(3, 5, seed=0).to_test_space()):
+        builds.clear()
+        find_state(ts)
+        infeasibility_certificate(ts)
+        dispersion_free_states(ts)
+        is_udf(ts)
+        assert components(ts) == components(ts)
+        assert builds == [ts]
 
 
 # ------------------------------------------------------------------ memo
