@@ -192,7 +192,7 @@ def _read_sample(path: str, coords: str | None) -> tuple[str, str]:
     """The texts of a sampled space and of its coordinates."""
     if coords is None and path == "-":
         raise TspError("a space read from stdin needs --coords")
-    return _read(path), _read(coords or sidecar_path(path))
+    return _read(path), _read(sidecar_path(path) if coords is None else coords)
 
 
 def _cmd_metric_check(args) -> int:
@@ -252,7 +252,7 @@ def _cmd_extract(args) -> int:
     text, coords_text = _read_sample(args.file, args.coords)
     sample = MetricSample._of_space(*parse_sample(text, coords_text), args.ortho_tol)
     basis = _resolve_basis(args.basis, sample, args.delta)
-    if args.save_basis:
+    if args.save_basis is not None:
         with open(args.save_basis, "w") as fh:
             fh.write(dump_basis(basis))
     result = extract_semiclassical(
@@ -286,7 +286,7 @@ def _cmd_extract(args) -> int:
     rows.append(("hidden_state_valid", ok))
     for x in result.sub_test_space.outcomes:
         rows.append((f"state {x}", state[x]))
-    if args.out:
+    if args.out is not None:
         tsp_path, coords_path = save_sample(result.sub_sample, args.out)
         rows.append(("file", tsp_path))
         rows.append(("coords", coords_path))

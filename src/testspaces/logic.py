@@ -34,8 +34,9 @@ from .core import (
     TspError,
     ValidationError,
     _check_event_cap,
-    _column,
+    _error,
     _lines,
+    _name_error,
     event_key,
     member_set,
 )
@@ -549,38 +550,34 @@ def loads_oa(text: str) -> OrthoalgebraTable:
     bound: dict[str, str] = {}  # the zero and one lines
     sums: list[tuple[str, str, str]] = []
     stated: set[frozenset[str]] = set()
-    for lineno, line, key, names in _lines(text):
+    for rec in _lines(text, ("elements", "zero", "one", "sum")):
+        _, _, key, names = rec
         if key == "elements":
             if elements is not None:
-                raise ParseError("second elements line", lineno, _column(line, 0))
+                raise _error(rec, "second elements line")
             if not names:
-                raise ParseError("elements line lists no names", lineno, _column(line, 0))
+                raise _error(rec, "elements line lists no names")
             known = set(names)
             if len(known) != len(names):
-                raise ParseError("duplicate element name", lineno, _column(line, 0))
+                raise _error(rec, "duplicate element name")
             elements = names
             continue
-        if key not in ("zero", "one", "sum"):
-            raise ParseError(f"unknown directive {key!r}", lineno, _column(line, 0))
         if elements is None:
-            raise ParseError(f"{key} line before elements line", lineno, _column(line, 0))
+            raise _error(rec, f"{key} line before elements line")
         if key == "sum" and len(names) != 3:
-            raise ParseError("sum line needs three names: p q r", lineno, _column(line, 0))
+            raise _error(rec, "sum line needs three names: p q r")
         if key != "sum" and len(names) != 1:
-            raise ParseError(f"{key} line needs exactly one name", lineno, _column(line, 0))
-        for k, tok in enumerate(names, start=1):
-            if tok not in known:
-                raise ParseError(f"unknown element {tok!r}", lineno, _column(line, k))
+            raise _error(rec, f"{key} line needs exactly one name")
+        if not known.issuperset(names):
+            raise _name_error(rec, known, "unknown element {!r}")
         if key != "sum":
             if key in bound:
-                raise ParseError(f"second {key} line", lineno, _column(line, 0))
+                raise _error(rec, f"second {key} line")
             bound[key] = names[0]
             continue
         pair = frozenset(names[:2])  # singleton key for p == p lines
         if pair in stated:
-            raise ParseError(
-                f"duplicate sum for pair ({names[0]}, {names[1]})", lineno, _column(line, 0)
-            )
+            raise _error(rec, f"duplicate sum for pair ({names[0]}, {names[1]})")
         stated.add(pair)
         sums.append((names[0], names[1], names[2]))
     if elements is None:

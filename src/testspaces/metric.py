@@ -28,7 +28,7 @@ from .core import (
     ValidationError,
     _BULK_MIN,
     _GRID_LINES,
-    _column,
+    _error,
     _grid,
     _index_rows,
     _lines,
@@ -355,41 +355,44 @@ def basic_open(centers, radius: float) -> VietorisBasicOpen:
     return VietorisBasicOpen(tuple((c, radius) for c in pts))
 
 
-def _floats(toks: list[str], lineno: int, line: str, first: int, what: str) -> list[float]:
-    """The tokens as floats; `first` is the index of toks[0] on its line."""
-    out = []
-    for k, tok in enumerate(toks, start=first):
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise ParseError(f"bad {what} {tok!r}", lineno, _column(line, k)) from None
-    return out
+def _floats(rec, first: int, what: str) -> tuple[float, ...]:
+    """The tokens of a line record from token `first` on (1 is the first
+    after the directive) as floats, read in one pass; a token that is no
+    float is named at its column."""
+    toks = rec[3][first - 1 :]
+    try:
+        return tuple(map(float, toks))
+    except ValueError:
+        for k, tok in enumerate(toks, start=first):
+            try:
+                float(tok)
+            except ValueError:
+                raise _error(rec, f"bad {what} {tok!r}", k) from None
 
 
 def load_basis(text: str) -> tuple[VietorisBasicOpen, ...]:
     """Parse basis text: `open` starts a basic open, `ball <r> <x1> ... <xd>`
     adds a ball to the current one."""
-    opens: list[tuple[int, str, list[tuple[list[float], float]]]] = []
-    for lineno, line, key, toks in _lines(text):
+    opens: list[tuple[tuple, list[tuple[list[float], float]]]] = []
+    for rec in _lines(text, ("open", "ball")):
+        _, _, key, toks = rec
         if key == "open":
             if toks:
-                raise ParseError("open line takes no arguments", lineno, _column(line, 1))
-            opens.append((lineno, line, []))
-        elif key == "ball":
-            if not opens:
-                raise ParseError("ball before any open line", lineno, _column(line, 0))
-            if len(toks) < 2:
-                raise ParseError("ball needs a radius and coordinates", lineno, _column(line, 0))
-            radius, *center = _floats(toks, lineno, line, 1, "number")
-            opens[-1][2].append((center, radius))
-        else:
-            raise ParseError(f"unknown directive {key!r}", lineno, _column(line, 0))
+                raise _error(rec, "open line takes no arguments", 1)
+            opens.append((rec, []))
+            continue
+        if not opens:
+            raise _error(rec, "ball before any open line")
+        if len(toks) < 2:
+            raise _error(rec, "ball needs a radius and coordinates")
+        radius, *center = _floats(rec, 1, "number")
+        opens[-1][1].append((center, radius))
     if not opens:
         raise ParseError("basis needs at least one open with balls", 1, 1)
-    for lineno, line, balls in opens:
+    for rec, balls in opens:
         if not balls:
-            raise ParseError("open without balls", lineno, _column(line, 0))
-    return tuple(VietorisBasicOpen(tuple(balls)) for _, _, balls in opens)
+            raise _error(rec, "open without balls")
+    return tuple(VietorisBasicOpen(tuple(balls)) for _, balls in opens)
 
 
 def dump_basis(basis) -> str:
@@ -942,65 +945,50 @@ def _coords_grid(text: str) -> tuple[list[str], np.ndarray] | None:
 
 def parse_coords(text: str) -> dict[str, tuple[float, ...]]:
     """Parse sidecar lines `outcome <id> <c1> ... <cd>`."""
-    grid = _coords_grid(text)
-    if grid is None:
-        return _parse_coord_lines(text)
-    ids, points = grid
+    ids, points = _coords_grid(text) or _parse_coord_lines(text)
     return dict(zip(ids, zip(*points.T.tolist())))
 
 
-def _parse_coord_lines(text: str) -> dict[str, tuple[float, ...]]:
-    """parse_coords, one line at a time: the only reporter of its errors."""
-    out: dict[str, tuple[float, ...]] = {}
-    dim = None
-    for lineno, line, key, toks in _lines(text):
-        if key != "outcome":
-            raise ParseError(f"unknown directive {key!r}", lineno, _column(line, 0))
+def _parse_coord_lines(text: str) -> tuple[list[str], np.ndarray]:
+    """The (ids, points) of `_coords_grid`, one line at a time: the only
+    reporter of a sidecar's errors."""
+    rows: dict[str, tuple[float, ...]] = {}
+    for rec in _lines(text, ("outcome",)):
+        toks = rec[3]
         if len(toks) < 2:
-            raise ParseError("outcome line needs an id and coordinates", lineno, _column(line, 0))
-        ident, *values = toks
-        if ident in out:
-            raise ParseError(f"duplicate coordinates for {ident!r}", lineno, _column(line, 1))
-        vals = _floats(values, lineno, line, 2, "coordinate")
-        if dim is None:
-            dim = len(vals)
-        elif len(vals) != dim:
-            raise ParseError(
-                f"expected {dim} coordinates, got {len(vals)}", lineno, _column(line, 2)
-            )
-        out[ident] = tuple(vals)
-    if not out:
+            raise _error(rec, "outcome line needs an id and coordinates")
+        if toks[0] in rows:
+            raise _error(rec, f"duplicate coordinates for {toks[0]!r}", 1)
+        vals = _floats(rec, 2, "coordinate")
+        if rows and len(vals) != dim:  # the first line sets dim
+            raise _error(rec, f"expected {dim} coordinates, got {len(vals)}", 2)
+        dim = len(vals)
+        rows[toks[0]] = vals
+    if not rows:
         raise ParseError("no outcome lines", 1, 1)
-    return out
+    return list(rows), np.array(list(rows.values()), dtype=float)
 
 
 def parse_sample(tsp_text: str, coords_text: str) -> tuple[TestSpace, np.ndarray]:
     """Parse a space and its sidecar; coordinate rows follow the outcome order.
 
     Every outcome needs coordinates, and every coordinate line a known
-    outcome.  Where the sidecar reads in one pass and names each outcome
-    once, its rows are placed through the space's index in one step.
+    outcome.  The sidecar is read once, and its rows are placed through the
+    space's index in one step.
     """
     ts = load_test_space(tsp_text)
-    grid = _coords_grid(coords_text)
-    if grid is not None and len(grid[0]) == len(ts.outcomes):
-        ids, points = grid
-        try:
-            at = np.fromiter(map(ts._index.__getitem__, ids), np.intp, len(ids))
-        except KeyError:
-            pass
-        else:
-            out = np.empty_like(points)
-            out[at] = points
-            return ts, out
-    coords = parse_coords(coords_text)
-    missing = [x for x in ts.outcomes if x not in coords]
-    if missing:
-        raise ValidationError(f"coordinates missing for outcomes {missing[:5]}")
-    extra = sorted(set(coords) - set(ts.outcomes))
-    if extra:
+    ids, points = _coords_grid(coords_text) or _parse_coord_lines(coords_text)
+    at = np.fromiter(map(ts._index.get, ids, itertools.repeat(-1)), np.intp, len(ids))
+    known = at[at >= 0]  # distinct positions: the sidecar names each id once
+    if len(known) < len(ts.outcomes):
+        missing = [ts.outcomes[k] for k in np.setdiff1d(np.arange(len(ts.outcomes)), known)[:5]]
+        raise ValidationError(f"coordinates missing for outcomes {missing}")
+    if len(known) < len(ids):
+        extra = sorted(itertools.compress(ids, (at < 0).tolist()))
         raise ValidationError(f"coordinates for unknown outcomes {extra[:5]}")
-    return ts, np.array([coords[x] for x in ts.outcomes], dtype=float)
+    out = np.empty_like(points)
+    out[at] = points
+    return ts, out
 
 
 def load_sample(tsp_path, coords_path=None, ortho_tol: float = DEFAULT_ORTHO_TOL) -> MetricSample:

@@ -550,6 +550,30 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "frames.tsp", "--basis", "auto:2", "--out", ""],
+        ["extract", "frames.tsp", "--basis", "auto:2", "--save-basis", ""],
+        ["extract", "frames.tsp", "--basis", "auto:2", "--coords", ""],
+        ["metric", "check", "frames.tsp", "--coords", ""],
+        ["metric", "check", "-", "--coords", ""],
+        ["sample-frames", "-n", "2", "-o", ""],
+    ],
+)
+def test_empty_paths_are_opened_and_refused(capsys, tmp_path, monkeypatch, argv):
+    """An empty path is a path, not "no path": it fails to open, so the
+    command exits 2 with nothing on stdout and no file written."""
+    monkeypatch.chdir(tmp_path)
+    frames_file(capsys, tmp_path)
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr("sys.stdin", stdin_of(Path("frames.tsp").read_bytes()))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_parse_errors_carry_positions(capsys, tmp_path):
     path = tmp_path / "broken.tsp"
     path.write_text("test a b\n")
@@ -755,3 +779,61 @@ def test_mutated_inputs_keep_the_exit_code_contract(fuzz_dir, fmt, edits):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["--strict", *argv])
     assert code in (0, 1, 2)
+
+
+# Every numeric and path option of `tsp`, on small inputs in {d}: {v} is the value.
+NUMERIC_OPTION_RUNS = (
+    "info --cap {v} {d}/t.tsp",
+    "logic --cap {v} {d}/t.tsp",
+    "states --dispersion-free --df-cap {v} {d}/t.tsp",
+    "metric check {d}/s.tsp --ortho-tol {v}",
+    "sample-frames -n {v} -o {d}/n.tsp",
+    "sample-frames -n 1 -d {v} -o {d}/d.tsp",
+    "sample-frames -n 2 --seed {v} -o {d}/seed.tsp",
+    "extract {d}/s.tsp --basis auto:{v}",
+    "extract {d}/s.tsp --basis auto:3 --delta {v}",
+    "extract {d}/s.tsp --basis auto:3 --margin {v}",
+    "extract {d}/s.tsp --basis auto:3 --ortho-tol {v}",
+    "extract {d}/s.tsp --basis auto:3 --seed {v}",
+    "extract {d}/s.tsp --basis auto:3 --resample-factor {v}",
+)
+PATH_OPTION_RUNS = (
+    "metric check {d}/s.tsp --coords {v}",
+    "sample-frames -n 2 -o {v}",
+    "extract {d}/s.tsp --basis auto:3 --coords {v}",
+    "extract {d}/s.tsp --basis auto:3 --save-basis {v}",
+    "extract {d}/s.tsp --basis auto:3 --out {v}",
+)
+# A budget meets only values that it refuses before allocating: 1000001
+# frames, frames of dimension 1000001, and 6 * 1000001 resampled frames.
+OPTION_VALUES = ("nan", "inf", "-inf", "-1", "-0", "0", "1e308", "1000001", str(10**30))
+
+
+@pytest.fixture(scope="module")
+def option_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("options")
+    (path / "t.tsp").write_text(corpus.gen("triangle"))
+    save_sample(sample_frames(3, 6, 3), path / "s.tsp", header="frames dim=3 count=6 seed=3")
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.one_of(
+        st.tuples(st.sampled_from(NUMERIC_OPTION_RUNS), st.sampled_from(OPTION_VALUES)),
+        st.tuples(st.sampled_from(PATH_OPTION_RUNS), st.just("")),
+    ),
+    strict=st.booleans(),
+)
+@example(command=("sample-frames -n 1 -d {v} -o {d}/d.tsp", "6000"), strict=False)
+def test_options_keep_the_exit_code_contract(option_dir, command, strict):
+    template, value = command
+    argv = [a.format(d=option_dir, v=value) for a in template.split()]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--strict", *argv] if strict else argv)
+        except SystemExit as exc:  # argparse refuses a value of the wrong type
+            code = exc.code
+    assert code in ((0, 1, 2) if strict else (0, 2))
+    assert "Traceback" not in err.getvalue()

@@ -193,9 +193,10 @@ def test_lexer_matches_per_line_reference(text):
         toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", content)]
         if toks:
             expected.append((lineno, toks))
+    directives = {toks[0][0] for _, toks in expected}
     got = [
         (lineno, [(tok, _column(line, k)) for k, tok in enumerate([key, *toks])])
-        for lineno, line, key, toks in _lines(text)
+        for lineno, line, key, toks in _lines(text, directives)
     ]
     assert got == expected
 

@@ -1,12 +1,13 @@
-"""The one-pass `.tsp` and `.coords` reads against the per-line parsers.
+"""The four text readers against frozen copies of their per-line parsers.
 
 `load_test_space`, `parse_coords` and `parse_sample` read a text in the
 shape that the writers produce in one pass, and leave every other text,
-and every error, to their per-line parsers.  The frozen copies below are
-those parsers as they were before the one-pass reads; every answer and
-every error must be theirs.  The one-pass reads and a space's array checks
-start at `_BULK_MIN` lines or tests; these tests lower it to 1, so that
-small texts take them too.
+and every error, to their per-line parsers.  Those parsers, `loads_oa` and
+`load_basis` share one line reader.  The frozen copies below are the four
+parsers as they were before either change; every answer and every error,
+with its type, message, line and column, must be theirs.  The one-pass
+reads and a space's array checks start at `_BULK_MIN` lines or tests;
+these tests lower it to 1, so that small texts take them too.
 """
 
 from __future__ import annotations
@@ -21,9 +22,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from testspaces import core, metric
 from testspaces.core import ParseError, TestSpace, TspError, ValidationError, load_test_space
-from testspaces.metric import parse_coords, parse_sample, sample_frames, save_sample
+from testspaces.logic import OrthoalgebraTable, boolean_oa, loads_oa
+from testspaces.metric import (
+    VietorisBasicOpen,
+    load_basis,
+    parse_coords,
+    parse_sample,
+    sample_frames,
+    save_sample,
+)
 
-from test_cli import EDITS, mutate
+from test_cli import EDITS, FUZZ_BASIS, mutate, oa_file_text
 from test_core import frozen_test_space, space_inputs
 
 
@@ -151,17 +160,106 @@ def frozen_parse_sample(tsp_text: str, coords_text: str):
     return ts, np.array([coords[x] for x in ts.outcomes], dtype=float)
 
 
+def frozen_loads_oa(text: str) -> OrthoalgebraTable:
+    """`loads_oa` with its own checks on each line; kept as the reference."""
+    elements: list[str] | None = None
+    known: set[str] = set()
+    bound: dict[str, str] = {}
+    sums: list[tuple[str, str, str]] = []
+    stated: set[frozenset[str]] = set()
+    for lineno, line, key, names in frozen_lines(text):
+        if key == "elements":
+            if elements is not None:
+                raise ParseError("second elements line", lineno, frozen_column(line, 0))
+            if not names:
+                raise ParseError("elements line lists no names", lineno, frozen_column(line, 0))
+            known = set(names)
+            if len(known) != len(names):
+                raise ParseError("duplicate element name", lineno, frozen_column(line, 0))
+            elements = names
+            continue
+        if key not in ("zero", "one", "sum"):
+            raise ParseError(f"unknown directive {key!r}", lineno, frozen_column(line, 0))
+        if elements is None:
+            raise ParseError(f"{key} line before elements line", lineno, frozen_column(line, 0))
+        if key == "sum" and len(names) != 3:
+            raise ParseError("sum line needs three names: p q r", lineno, frozen_column(line, 0))
+        if key != "sum" and len(names) != 1:
+            raise ParseError(f"{key} line needs exactly one name", lineno, frozen_column(line, 0))
+        for k, tok in enumerate(names, start=1):
+            if tok not in known:
+                raise ParseError(f"unknown element {tok!r}", lineno, frozen_column(line, k))
+        if key != "sum":
+            if key in bound:
+                raise ParseError(f"second {key} line", lineno, frozen_column(line, 0))
+            bound[key] = names[0]
+            continue
+        pair = frozenset(names[:2])
+        if pair in stated:
+            raise ParseError(
+                f"duplicate sum for pair ({names[0]}, {names[1]})", lineno, frozen_column(line, 0)
+            )
+        stated.add(pair)
+        sums.append((names[0], names[1], names[2]))
+    if elements is None:
+        raise ParseError("missing elements line", 1, 1)
+    for key in ("zero", "one"):
+        if key not in bound:
+            raise ParseError(f"missing {key} line", 1, 1)
+    return OrthoalgebraTable(elements, bound["zero"], bound["one"], sums)
+
+
+def frozen_load_basis(text: str) -> tuple[VietorisBasicOpen, ...]:
+    """`load_basis` with its own float reads per token; kept as the reference."""
+    opens: list[tuple[int, str, list[tuple[list[float], float]]]] = []
+    for lineno, line, key, toks in frozen_lines(text):
+        if key == "open":
+            if toks:
+                raise ParseError("open line takes no arguments", lineno, frozen_column(line, 1))
+            opens.append((lineno, line, []))
+        elif key == "ball":
+            if not opens:
+                raise ParseError("ball before any open line", lineno, frozen_column(line, 0))
+            if len(toks) < 2:
+                raise ParseError(
+                    "ball needs a radius and coordinates", lineno, frozen_column(line, 0)
+                )
+            vals = []
+            for k, tok in enumerate(toks, start=1):
+                try:
+                    vals.append(float(tok))
+                except ValueError:
+                    raise ParseError(
+                        f"bad number {tok!r}", lineno, frozen_column(line, k)
+                    ) from None
+            radius, *center = vals
+            opens[-1][2].append((center, radius))
+        else:
+            raise ParseError(f"unknown directive {key!r}", lineno, frozen_column(line, 0))
+    if not opens:
+        raise ParseError("basis needs at least one open with balls", 1, 1)
+    for lineno, line, balls in opens:
+        if not balls:
+            raise ParseError("open without balls", lineno, frozen_column(line, 0))
+    return tuple(VietorisBasicOpen(tuple(balls)) for _, _, balls in opens)
+
+
 def outcome(f, *args):
     """A comparable outcome: the space, the sidecar's repr (which tells nan,
-    -0.0 and 1e-320 apart), or the error's type name and text."""
+    -0.0 and 1e-320 apart), the table's names and sums, the basis's balls
+    bit for bit, or the error's type, text, line and column."""
     try:
         got = f(*args)
     except TspError as exc:
-        return (type(exc).__name__, str(exc))
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
     if isinstance(got, TestSpace):
         return ("space", got, got._rows)
     if isinstance(got, dict):
         return ("coords", repr(got))
+    if isinstance(got, OrthoalgebraTable):
+        return ("oa", got.elements, got.zero, got.one, got.sum_triples())
+    if isinstance(got, tuple) and all(isinstance(o, VietorisBasicOpen) for o in got):
+        return ("basis", [[(c.tobytes(), repr(r)) for c, r in o.balls] for o in got])
     ts, pts = got
     return ("sample", ts, ts._rows, pts.shape, pts.tobytes())
 
@@ -268,25 +366,90 @@ def shifted(text: str, shifts) -> str:
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.sampled_from([3, 11]),
-    which=st.sampled_from(["tsp", "coords"]),
-    edits=EDITS,
+    tsp_edits=EDITS,
+    coords_edits=EDITS,
     shifts=st.lists(st.integers(0, 40), max_size=2),
 )
-@example(d=3, which="coords", edits=[], shifts=[])
-@example(d=11, which="tsp", edits=[], shifts=[])
-@example(d=3, which="coords", edits=[], shifts=[2])
-@example(d=3, which="tsp", edits=[], shifts=[3])
-@example(d=3, which="coords", edits=[("set", 2, 1, "outcome")], shifts=[])
-@example(d=3, which="tsp", edits=[("set", 1, 1, "test")], shifts=[])
-def test_mutated_reads_equal_the_per_line_parsers(texts, d, which, edits, shifts):
+@example(d=3, tsp_edits=[], coords_edits=[], shifts=[])
+@example(d=11, tsp_edits=[], coords_edits=[], shifts=[])
+@example(d=3, tsp_edits=[], coords_edits=[], shifts=[2])
+@example(d=3, tsp_edits=[], coords_edits=[], shifts=[3])
+@example(d=3, tsp_edits=[("set", 1, 1, "test")], coords_edits=[("set", 2, 1, "outcome")], shifts=[])
+def test_mutated_reads_equal_the_per_line_parsers(texts, d, tsp_edits, coords_edits, shifts):
+    """A mutated .tsp and a mutated .coords text each example: each read on
+    its own, and each beside the other file unmutated."""
     tsp, coords = texts[d]
-    if which == "tsp":
-        tsp = shifted(mutate(tsp, edits), shifts)
-        same(load_test_space, frozen_load_test_space, tsp)
-    else:
-        coords = shifted(mutate(coords, edits), shifts)
-        same(parse_coords, frozen_parse_coords, coords)
-    same(parse_sample, frozen_parse_sample, tsp, coords)
+    bad_tsp = shifted(mutate(tsp, tsp_edits), shifts)
+    bad_coords = shifted(mutate(coords, coords_edits), shifts)
+    same(load_test_space, frozen_load_test_space, bad_tsp)
+    same(parse_coords, frozen_parse_coords, bad_coords)
+    same(parse_sample, frozen_parse_sample, bad_tsp, coords)
+    same(parse_sample, frozen_parse_sample, tsp, bad_coords)
+
+
+OA_CASES = [
+    "elements 0 a b 1\nzero 0\none 1\nsum a b 1\n",
+    "elements 0 a b 1 # names\r\nzero 0\r\n\none 1\nsum a b 1 # the one sum\n",
+    "elements 0 a a' 1\nzero 0\none 1\nsum a a' 1\nsum a' a 0\n",  # a duplicate sum
+    "elements 0 a b 1\nzero 0\none 1\nsum a a 1\nsum b b 1\n",  # summable with itself
+    "elements 0 a 1\nzero 0\none 1\n",  # a has no complement
+    "elements 0\nzero 0\none 0\n",
+    "elements 0 1\n  elements 0 1\n",
+    "# no names yet\n  zero 0\nelements 0 1\n",
+    "# nothing but a comment\n",
+    "elements 0 a b 1\nzero 0\nsum a b 1\n",
+    "elements\nzero 0\n",
+    "elements 0 a a 1\n",
+    "elements 0 1\nfoo 0\n",
+    "elements 0 1\nzero 0 1\n",
+    "elements 0 1\nzero q\n",
+    "elements 0 a b 1\nzero 0\none 1\nsum a q z\n",  # the first unknown name
+    "elements 0 a b 1\nzero 0\none 1\nsum a b\n",
+    "elements 0 a b 1\nzero 0\nzero 0\n",
+    "elements sum zero one\nzero zero\none one\nsum sum sum one\n",  # names equal to the directives
+    "sum a b c\n",
+    "",
+]
+
+BASIS_CASES = [
+    "open\nball 0.5 1 0 0\n",
+    FUZZ_BASIS,
+    "open\r\nball 0.5 1 0 0\r\n",
+    "open\nball 1_0 1e-320 -0.0\n",  # float spellings
+    "open\nball nan 1 0 0\n",
+    "open\nball 0.5 1 0 zz\n",
+    "open\nball 0.5 zz 0 yy\n",  # the first bad number
+    "open\n  ball\n",
+    "open\n  ball 0.5\n",
+    "open 2\nball 0.5 1 0 0\n",
+    "open\nball 0.5 1 0 0\n\n  open  # empty\n",
+    "# no opens\n",
+    "ball 0.5 1 0\n",
+    "open\nbal 0.5 1 0\n",
+    "open\nball 0.5 1 0\nball 0.5 1 0 0\n",  # balls of two dimensions
+    "",
+]
+
+FROZEN = {
+    "oa": (loads_oa, frozen_loads_oa, oa_file_text(boolean_oa(2))),
+    "basis": (load_basis, frozen_load_basis, FUZZ_BASIS),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, text", [("oa", t) for t in OA_CASES] + [("basis", t) for t in BASIS_CASES]
+)
+def test_table_and_basis_hand_cases_equal_the_frozen_parsers(fmt, text):
+    f, frozen, _ = FROZEN[fmt]
+    same(f, frozen, text)
+
+
+@pytest.mark.parametrize("fmt", ["oa", "basis"])
+@settings(max_examples=200, deadline=None)
+@given(edits=EDITS)
+def test_mutated_tables_and_bases_equal_the_frozen_parsers(fmt, edits):
+    f, frozen, base = FROZEN[fmt]
+    same(f, frozen, mutate(base, edits))
 
 
 @settings(max_examples=60, deadline=None)
@@ -301,6 +464,19 @@ def test_sidecar_rows_in_any_order_are_placed_by_the_space(texts, d, seed):
     if seed % 2:
         picked = rng.permutation(len(lines))
     same(parse_sample, frozen_parse_sample, tsp, "".join(lines[k] for k in picked))
+
+
+@pytest.mark.parametrize("head", ["", "# read line by line\n"])
+def test_missing_and_extra_coordinates_are_named_as_before(texts, head):
+    """More than five outcomes without coordinates, and more than five
+    unknown ids out of name order: each error names the first five, the
+    missing in outcome order and the unknown sorted, and missing ids are
+    found first."""
+    for tsp, coords in texts.values():
+        lines = coords.splitlines(keepends=True)
+        unknown = [line.replace("outcome f", f"outcome {c}", 1) for c, line in zip("zyxwvu", lines)]
+        for sidecar in (lines[7:], lines + unknown, lines[2:] + unknown):
+            same(parse_sample, frozen_parse_sample, tsp, head + "".join(sidecar))
 
 
 def test_written_texts_take_the_one_pass_reads(texts):
