@@ -375,11 +375,6 @@ class TestSpace:
         return tuple([Event(frozenset([names[j] for j in keys[k]]), witnesses[k]) for k in positions])
 
     @cached_property
-    def _events(self) -> tuple[Event, ...]:
-        """Every event in event_key order, built on first read."""
-        return self._events_at(range(len(self._enumeration[0])))
-
-    @cached_property
     def _event_structure(self):
         """logic._events_and_complements, once per instance; readers check the event cap first."""
         from .logic import _events_and_complements
@@ -462,6 +457,17 @@ def components(ts: TestSpace) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return list(ts._components)
 
 
+def _by_size(rows) -> dict[int, np.ndarray]:
+    """Each test size's rows, in test order, as one (tests, size) int array."""
+    sizes = set(map(len, rows))
+    if len(sizes) == 1:
+        size = sizes.pop()
+        flat = np.fromiter(itertools.chain.from_iterable(rows), np.intp, size * len(rows))
+        return {size: flat.reshape(len(rows), size)}
+    groups = {k: [r for r in rows if len(r) == k] for k in sizes}
+    return {k: np.array(g, dtype=np.intp).reshape(len(g), k) for k, g in groups.items()}
+
+
 def _check_event_cap(ts: TestSpace, cap: int) -> None:
     needed = sum(2 ** len(test) for test in ts.tests)
     if needed > cap:
@@ -473,10 +479,10 @@ def enumerate_events(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> list[Event]
 
     The pre-enumeration work bound is sum(2**len(test)); if it exceeds
     `cap` a CapExceededError is raised, on every call, before the events
-    are read; a space enumerates them once.
+    are read; a space enumerates them once and builds the Events on each call.
     """
     _check_event_cap(ts, cap)
-    return list(ts._events)
+    return list(ts._events_at(range(len(ts._enumeration[0]))))
 
 
 def complementary(ts: TestSpace, a: EventLike, b: EventLike) -> bool:

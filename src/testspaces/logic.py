@@ -33,6 +33,7 @@ from .core import (
     TestSpace,
     TspError,
     ValidationError,
+    _by_size,
     _check_event_cap,
     _error,
     _lines,
@@ -283,19 +284,11 @@ class _SumTable:
 class Logic(_SumTable):
     """Immutable orthoalgebra of perspectivity classes; query-only.
 
-    build_logic leaves `classes` to be built on first read from its space."""
+    build_logic makes it on an algebraic space ts; `classes` is read off ts on first use."""
 
-    def __init__(self, classes, zero: int, one: int, table):
+    def __init__(self, ts: TestSpace, zero: int, one: int, table):
         super().__init__(table, zero, one, "logic construction")
-        self.classes = classes
-
-    @classmethod
-    def _of_space(cls, ts: TestSpace, zero: int, one: int, table) -> "Logic":
-        """The logic of the algebraic space ts on its sum table."""
-        logic = cls.__new__(cls)
-        _SumTable.__init__(logic, table, zero, one, "logic construction")
-        logic._space = ts
-        return logic
+        self._space = ts
 
     @cached_property
     def classes(self) -> tuple[tuple[frozenset[str], ...], ...]:
@@ -341,16 +334,12 @@ def _disjoint_pairs(k: int):
 def _sum_table(n, test_classes):
     """Dense sum table: class(A) + class(B) = class(A | B) for disjoint A, B in a test.
 
-    `test_classes[i][mask]` is the class of the sub-event of test i picked
-    by `mask`.  Raises AxiomViolationError when a sum depends on the
-    representatives chosen.
+    `test_classes[2**k][i, mask]` is the class of the sub-event picked by
+    `mask` of the i-th test of k outcomes.  Raises AxiomViolationError when
+    a sum depends on the representatives chosen.
     """
-    by_size = defaultdict(list)
-    for row in test_classes:
-        by_size[len(row)].append(row)
     writes = []
-    for width, rows in by_size.items():
-        rows = np.array(rows)
+    for width, rows in test_classes.items():
         a, b = _disjoint_pairs(width.bit_length() - 1)
         writes.append((rows[:, a].ravel(), rows[:, b].ravel(), rows[:, a | b].ravel()))
     i, j, t = (np.concatenate(x) for x in zip(*writes))
@@ -391,7 +380,8 @@ def build_logic(ts: TestSpace, cap: int = DEFAULT_EVENT_CAP) -> Logic:
     zero = int(cls[0])  # the empty event comes first
     one = int(cls[by_test[0][-1]])
 
-    return Logic._of_space(ts, zero, one, _sum_table(n, [cls[row] for row in by_test]))
+    test_classes = {width: cls[rows] for width, rows in _by_size(by_test).items()}
+    return Logic(ts, zero, one, _sum_table(n, test_classes))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .core import (
     ValidationError,
     _BULK_MIN,
     _GRID_LINES,
+    _by_size,
     _error,
     _grid,
     _index_rows,
@@ -75,17 +76,6 @@ def check_sample_invariants(ids, coords, tests, ortho_tol):
     ValidationError instead of giving a row.
     """
     return _battery(ids, coords, tests, ortho_tol)[0]
-
-
-def _by_size(rows) -> dict[int, np.ndarray]:
-    """Each test size's rows, in test order, as one (tests, size) int array."""
-    sizes = set(map(len, rows))
-    if len(sizes) == 1:
-        size = sizes.pop()
-        flat = np.fromiter(itertools.chain.from_iterable(rows), np.intp, size * len(rows))
-        return {size: flat.reshape(len(rows), size)}
-    groups = {k: [r for r in rows if len(r) == k] for k in sizes}
-    return {k: np.array(g, dtype=np.intp).reshape(len(g), k) for k, g in groups.items()}
 
 
 def _battery(ids, coords, tests, ortho_tol):

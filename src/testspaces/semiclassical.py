@@ -19,11 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TestSpace, TspError, ValidationError
+from .core import TestSpace, TspError, ValidationError, _by_size
 from .metric import (
     MetricSample,
     VietorisBasicOpen,
-    _by_size,
     _open_members,
     _squared_distances,
     basic_open,

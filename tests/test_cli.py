@@ -455,9 +455,10 @@ def test_extract_saves_loadable_subspace(capsys, tmp_path):
 
 def test_extract_rejects_bad_basis_spec(capsys, tmp_path):
     path = frames_file(capsys, tmp_path, n=4, seed=6)
-    code, _, err = run(capsys, "extract", path, "--basis", "auto:zap")
-    assert code == 2
-    assert "basis spec" in err
+    for spec in ("auto:zap", "foo:1"):
+        code, _, err = run(capsys, "extract", path, "--basis", spec)
+        assert code == 2
+        assert f"bad basis spec {spec!r}" in err
 
 
 @pytest.mark.parametrize(

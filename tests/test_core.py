@@ -462,7 +462,7 @@ def test_row_layout_equals_the_name_level_reference(rnd):
         renamed(corpus.random_test_space(rnd, max_universe=12, max_tests=6), rnd),
         renamed(corpus.random_semiclassical(rnd), rnd),
     ):
-        assert ts._events == frozen_events(ts)
+        assert tuple(enumerate_events(ts)) == frozen_events(ts)
         assert logic_module._events_and_complements(ts) == frozen_events_and_complements(ts)
         assert components(ts) == frozen_components(ts)
         assert overlapping_tests(ts) == frozen_overlapping_tests(ts)

@@ -14,6 +14,14 @@ A longer frame draw extends a shorter one with the same seed, which
 `tsp extract --resample-factor` relies on: the first n frames of
 sample_frames(d, 2n, s) are sample_frames(d, n, s), bit for bit.
 
+Shuffling the test lines of a space file keeps every byte of `tsp info`
+and `tsp logic` (the algebraicity witness and the table digest included),
+and keeps whether a state exists; the state found may change, since the
+phase-one simplex breaks ties in the order of the tests, but it verifies.
+Prefixing every outcome id with one string keeps their sorted order, so
+`tsp info`, `tsp logic` and `tsp states --dispersion-free` print the same
+bytes once the prefix is taken off again.
+
 Flipping the sign of coordinate axes changes no product of coordinates and
 no difference's square, so the geometry reads the same floats: orthogonal
 pairs, TNO radii, rank bounds and their refusals, and the Hausdorff distance
@@ -23,8 +31,12 @@ on its grid path come out bit for bit as before.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,7 +61,9 @@ from testspaces import (
     rank_bound,
     sample_frames,
     tno_radius,
+    verify_state,
 )
+from testspaces.cli import main
 from testspaces.core import components
 from testspaces.states import DEFAULT_DF_CAP
 
@@ -160,6 +174,89 @@ def test_logic_of_an_algebraic_space_builds_no_event(monkeypatch):
     # the guard sees an Event when one is built
     enumerate_events(ts)
     assert built
+
+
+def tsp(text: str, *argv: str) -> tuple[int, str, str]:
+    """`tsp <argv> -` with `text` on stdin: the exit code, stdout and stderr."""
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "-"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def shuffled_tests(text: str, rnd: random.Random) -> str:
+    """The space file `text` with its test lines in a shuffled order."""
+    lines = text.splitlines(keepends=True)
+    tests = [line for line in lines if line.startswith("test ")]
+    rnd.shuffle(tests)
+    return "".join(line for line in lines if not line.startswith("test ")) + "".join(tests)
+
+
+def assert_shuffle_laws(ts: TestSpace, rnd: random.Random) -> None:
+    text = dump_test_space(ts)
+    again = shuffled_tests(text, rnd)
+    for command in ("info", "logic"):
+        assert tsp(again, command) == tsp(text, command)
+    shuffled = load_test_space(again)
+    state = find_state(shuffled)
+    assert (state is None) == (find_state(ts) is None)
+    if state is not None:
+        assert verify_state(shuffled, state)[0]
+
+
+def test_shuffled_tests_keep_info_logic_and_feasibility_on_corpus(spaces):
+    rnd = random.Random(0)
+    for name in ("classical-1", "classical-7", *CORPUS_NAMES):
+        for _ in range(5):
+            assert_shuffle_laws(load_test_space(corpus.gen(name)), rnd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_shuffled_tests_keep_info_logic_and_feasibility_on_random_draws(rnd):
+    assert_shuffle_laws(
+        corpus.random_test_space(rnd, max_universe=9, max_tests=5, min_size=1, max_size=6), rnd
+    )
+
+
+def test_shuffled_tests_may_change_the_state_found():
+    """Phase one breaks ties in test order: the same space, two states."""
+    tests = ["o2 o4 o6", "o0 o3 o4 o5 o7 o8", "o0 o1 o2 o4 o8", "o0 o2 o6 o8", "o0 o7"]
+    found = []
+    for order in ((0, 1, 2, 3, 4), (4, 3, 0, 1, 2)):
+        ts = TestSpace.build([f"o{i}" for i in range(9)], [tests[i].split() for i in order])
+        state = find_state(ts)
+        assert verify_state(ts, state)[0]
+        found.append({x for x in ts.outcomes if state[x] == 1})
+    assert found == [{"o2", "o7"}, {"o1", "o6", "o7"}]
+
+
+PREFIX = "zz_"  # in no keyword, number or digest that tsp prints
+
+
+def assert_renaming_law(ts: TestSpace) -> None:
+    renamed = TestSpace.build(
+        [PREFIX + x for x in ts.outcomes], [[PREFIX + x for x in t] for t in ts.tests]
+    )
+    assert renamed.outcomes == tuple(PREFIX + x for x in ts.outcomes)  # the same order
+    text, again = dump_test_space(ts), dump_test_space(renamed)
+    for argv in (["info"], ["logic"], ["states", "--dispersion-free"]):
+        code, out, err = tsp(again, *argv)
+        assert (code, out.replace(PREFIX, ""), err.replace(PREFIX, "")) == tsp(text, *argv)
+
+
+def test_prefixed_ids_keep_every_byte_on_corpus():
+    for name in ("classical-1", "classical-7", *CORPUS_NAMES):
+        assert_renaming_law(load_test_space(corpus.gen(name)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_prefixed_ids_keep_every_byte_on_random_draws(rnd):
+    assert_renaming_law(
+        corpus.random_test_space(rnd, max_universe=9, max_tests=5, min_size=1, max_size=6)
+    )
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import defaultdict
 from functools import cached_property
 from unittest import mock
 from itertools import permutations, product
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import testspaces.logic as logic_module
 from testspaces import corpus
 from testspaces.core import (
+    DEFAULT_EVENT_CAP,
     DENSE_TABLE_CAP,
     CapExceededError,
     ParseError,
@@ -23,6 +25,7 @@ from testspaces.core import (
 )
 from testspaces.logic import (
     AxiomViolationError,
+    Logic,
     NotAlgebraicError,
     OrthoalgebraTable,
     boolean_oa,
@@ -95,6 +98,8 @@ def test_logic_bounds_and_complement(spaces):
     p = logic.class_of({"a", "b"})
     assert logic.ocomp_of(p) == logic.class_of({"c"})
     assert logic.osum_of(p, logic.class_of({"c"})) == logic.one
+    with pytest.raises(ValidationError, match=r"\['a', 'd'\] is not an event of this space"):
+        logic.class_of({"a", "d"})
 
 
 def test_mo2_order_is_trivial_between_sides(spaces):
@@ -373,6 +378,9 @@ def test_table_rejects_unknown_and_degenerate():
         loads_oa("elements 0 1\nzero 0\none 1\nsum 0 q 1\n")
     with pytest.raises((ParseError, ValidationError)):
         loads_oa("elements 0\nzero 0\none 0\n")
+    for atoms in (0, 10):
+        with pytest.raises(ValidationError, match="boolean_oa supports 1..9 atoms"):
+            boolean_oa(atoms)
 
 
 @pytest.mark.parametrize(
@@ -655,26 +663,118 @@ def test_axiom_check_equals_frozen_on_edited_tables(base, edits):
         assert_verifies_as_frozen(*args)
 
 
+# ------------------------------------ class rows grouped by test size
+
+# build_logic and _sum_table as they took one class row per test (one
+# `cls[row]` each) and regrouped the rows by width in _sum_table; kept as
+# the reference for the table that the rows grouped once by _by_size give.
+
+
+def frozen_sum_table(n, test_classes):
+    by_size = defaultdict(list)
+    for row in test_classes:
+        by_size[len(row)].append(row)
+    writes = []
+    for width, rows in by_size.items():
+        rows = np.array(rows)
+        a, b = logic_module._disjoint_pairs(width.bit_length() - 1)
+        writes.append((rows[:, a].ravel(), rows[:, b].ravel(), rows[:, a | b].ravel()))
+    i, j, t = (np.concatenate(x) for x in zip(*writes))
+    table = np.full((n, n), -1, dtype=np.int32)
+    table[i, j] = t
+    bad = table[i, j] != t
+    if bad.any():
+        lo, hi = np.minimum(i, j)[bad], np.maximum(i, j)[bad]
+        k = np.lexsort((hi, lo))[0]
+        p, q = int(lo[k]), int(hi[k])
+        targets = sorted(set(t[(i == p) & (j == q)].tolist()))
+        raise AxiomViolationError(
+            f"sum of classes {p}, {q} depends on representatives: targets {targets}"
+        )
+    return table
+
+
+def frozen_per_test_build_logic(ts):
+    logic_module._check_event_cap(ts, DEFAULT_EVENT_CAP)
+    by_test, fibre, witness = ts._event_structure
+    if witness is not None:
+        raise NotAlgebraicError(witness)
+    cls = np.array(fibre)
+    n = int(cls.max()) + 1
+    logic_module._check_table_size(n)
+    zero = int(cls[0])
+    one = int(cls[by_test[0][-1]])
+    return Logic(ts, zero, one, frozen_sum_table(n, [cls[row] for row in by_test]))
+
+
+def logic_arrays(logic):
+    """The table, complement, order and sum list, with dtypes, and the digest."""
+    arrays = (logic._table, logic._ocomp, logic._leq, *logic._triples)
+    return [(a.dtype, a.tolist()) for a in arrays], logic.table_digest()
+
+
+def mixed_algebraic_spaces(rng, count):
+    """Algebraic draws with tests of 1 to 6 outcomes, at least two sizes each."""
+    while count:
+        ts = corpus.random_test_space(rng, max_universe=10, max_tests=5, min_size=1, max_size=6)
+        if len(set(map(len, ts.tests))) > 1 and is_algebraic(ts)[0]:
+            count -= 1
+            yield ts
+
+
+def sum_table_verdict(sum_table, n, rows):
+    try:
+        return sum_table(n, rows).tolist()
+    except AxiomViolationError as exc:
+        return str(exc)
+
+
+def test_grouped_sum_table_refuses_as_frozen():
+    """Class rows of algebraic spaces with one entry changed, which mostly
+    makes a sum depend on its representatives; both tables are built
+    directly from the rows."""
+    rng = random.Random(0)
+    refused = 0
+    for ts in mixed_algebraic_spaces(rng, 300):
+        by_test, fibre, _witness = ts._event_structure
+        cls = np.array(fibre)
+        n = int(cls.max()) + 1
+        rows = [cls[row] for row in by_test]
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = rng.randrange(n)
+        want = sum_table_verdict(frozen_sum_table, n, rows)
+        grouped = logic_module._by_size(rows)
+        assert sum_table_verdict(logic_module._sum_table, n, grouped) == want
+        refused += isinstance(want, str)
+    assert 0 < refused < 300  # both branches are compared
+
+
 def assert_logic_as_frozen(ts):
     want = frozen_build_logic(ts)
     got = build_logic(ts)
     assert np.array_equal(got._ocomp, want._ocomp)
     assert np.array_equal(got._leq, want._leq)
     assert got.table_digest() == want.table_digest()
+    assert logic_arrays(got) == logic_arrays(frozen_per_test_build_logic(ts))
 
 
 def test_logic_equals_frozen_on_corpus(spaces):
     for name in LOGIC_SIZES:
         assert_logic_as_frozen(spaces[name])
-    for name in ("classical-1", "classical-6"):
+    for name in ("classical-1", "classical-6", "classical-7"):
         assert_logic_as_frozen(load_test_space(corpus.gen(name)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=20_000))
 def test_logic_equals_frozen_on_random_algebraic_spaces(seed):
+    """Draws with tests of 2 to 5 outcomes, of 1 to 6, and disjoint ones."""
     rng = random.Random(seed)
-    for ts in (random_space(seed), corpus.random_semiclassical(rng)):
+    for ts in (
+        random_space(seed),
+        corpus.random_semiclassical(rng),
+        corpus.random_test_space(rng, max_universe=10, max_tests=5, min_size=1, max_size=6),
+    ):
         if is_algebraic(ts)[0]:
             assert_logic_as_frozen(ts)
 
